@@ -21,5 +21,9 @@ class EmptyDataError(DataError):
     """All rows (or all columns) were dropped during preprocessing."""
 
 
+class ForestFileError(DataError, ValueError):
+    """A serialized forest that cannot be read or is not a forest."""
+
+
 class UndefinedMetricError(BellatrexError):
     """Metric has no defined value for the given inputs (e.g. single-class AUROC)."""

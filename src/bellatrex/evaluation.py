@@ -23,19 +23,19 @@ from .explain import (
     AblationFlags,
     Explanation,
     TuningGrid,
-    _vector_from_path,
     derive_seed,
+    rule_vectors,
     tune_and_explain,
 )
 from .forest import (
     Forest,
     ForestParams,
-    decision_path,
     fit_forest,
     forest_predict,
     forest_predict_batch,
+    node_path,
     oob_errors,
-    path_length,
+    tree_predict,
 )
 from .metrics import auroc, dissimilarity, mae, weighted_auroc
 from .survival import concordance_index
@@ -115,25 +115,23 @@ def baseline_oob_trees(forest: Forest, oob_errs: np.ndarray, x: np.ndarray,
     if n_rules < 1:
         raise ValueError("need at least one tree")
     chosen = np.argsort(oob_errs, kind="stable")[:n_rules]
-    return np.mean([_tree_pred(forest, int(i), x) for i in chosen], axis=0)
+    return np.mean([tree_predict(forest.trees[int(i)], x) for i in chosen], axis=0)
 
 
-def _tree_pred(forest: Forest, index: int, x: np.ndarray) -> np.ndarray:
-    from .forest import tree_predict
+def _weighted_vectors(forest: Forest, tree_indices, x: np.ndarray) -> np.ndarray:
+    trees = [forest.trees[int(i)] for i in tree_indices]
+    return rule_vectors(trees, [node_path(tree, x) for tree in trees], MODE_WEIGHTED, forest.p)
 
-    return tree_predict(forest.trees[index], x)
 
-
-def _weighted_vectors(forest: Forest, tree_indices, x: np.ndarray) -> list[np.ndarray]:
-    vecs = []
-    for idx in tree_indices:
-        steps = decision_path(forest.trees[int(idx)], x)
-        vecs.append(_vector_from_path(steps, int(idx), MODE_WEIGHTED, forest.p).values)
-    return vecs
+def _final_rule_vectors(forest: Forest, explanation: Explanation) -> np.ndarray:
+    rules = explanation.final_rules
+    return rule_vectors([forest.trees[r.tree_index] for r in rules],
+                        [[step.node_id for step in r.steps] for r in rules],
+                        explanation.mode, forest.p)
 
 
 def _paths_complexity(forest: Forest, tree_indices, x: np.ndarray) -> int:
-    return sum(path_length(decision_path(forest.trees[int(i)], x)) for i in tree_indices)
+    return sum(len(node_path(forest.trees[int(i)], x)) - 1 for i in tree_indices)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +206,8 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
         preds = np.vstack([e.surrogate for e in expl])
         perf = _fold_performance(ds.task, preds, test, name, method, fold)
         complexity_vals = [float(sum(e.rule_lengths)) for e in expl]
-        dissim_vals = [
-            dissimilarity([_vector_from_path(r.steps, r.tree_index, mode, forest.p).values
-                           for r in e.final_rules])
-            for e in expl if e.chosen_k >= 2
-        ]
+        dissim_vals = [dissimilarity(_final_rule_vectors(forest, e))
+                       for e in expl if e.chosen_k >= 2]
         outcomes.append(_FoldOutcome(
             method,
             perf,
@@ -258,7 +253,7 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
     for i in range(test_idx.size):
         chosen = err_order[: ks[i]]
         oob_preds.append(np.mean(
-            [_tree_pred(forest, int(t), X_test[i]) for t in chosen], axis=0))
+            [tree_predict(forest.trees[int(t)], X_test[i]) for t in chosen], axis=0))
         oob_complexity.append(float(_paths_complexity(forest, chosen, X_test[i])))
         if ks[i] >= 2:
             oob_dissim.append(dissimilarity(_weighted_vectors(forest, chosen, X_test[i])))

@@ -12,20 +12,21 @@ instance by maximizing fidelity = 1 - ||forest - surrogate||_2.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .data import TaskKind
-from .forest import (
-    Forest,
-    PathStep,
-    all_tree_predictions,
-    decision_path,
-    path_length,
-    tree_leaf_km,
+from .forest import Forest, PathStep, node_path, path_length, path_steps, tree_leaf_km
+from .numeric import (
+    Clustering,
+    identity_projection,
+    kmeans_pp,
+    nearest_point,
+    pca_fit,
+    pca_spectrum,
+    pca_transform,
 )
-from .numeric import identity_projection, kmeans_pp, nearest_point, pca_fit, pca_transform
 
 MODE_SIMPLE = "simple"
 MODE_WEIGHTED = "weighted"
@@ -115,142 +116,140 @@ class Explanation:
         return [r.length for r in self.final_rules]
 
 
+def _check_tau(forest: Forest, tau: int) -> None:
+    if not 1 <= tau <= forest.n_trees:
+        raise ValueError(f"tau must lie in [1, {forest.n_trees}]")
+
+
+@dataclass(frozen=True)
+class _Routes:
+    """One instance routed once through every tree of a forest."""
+
+    x: np.ndarray
+    paths: list[list[int]]  # node ids from root to leaf, per tree
+    preds: np.ndarray  # (m, w) leaf predictions
+    y_hat: np.ndarray  # (w,) forest prediction
+    order: np.ndarray  # trees by prediction proximity, stable
+
+
+def _route(forest: Forest, x: np.ndarray) -> _Routes:
+    """Validate x and route it through every tree.  Trees are ordered by the
+    Euclidean distance of their prediction to the forest prediction; the
+    stable sort keeps tree order on ties."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (forest.p,):
+        raise ValueError(f"instance must have shape ({forest.p},), got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise ValueError("instance has a non-finite value")
+    paths = [node_path(tree, x) for tree in forest.trees]
+    preds = np.vstack([tree.node_pred[path[-1]] for tree, path in zip(forest.trees, paths)])
+    y_hat = preds.mean(axis=0)
+    order = np.argsort(np.linalg.norm(preds - y_hat, axis=1), kind="stable")
+    return _Routes(x=x, paths=paths, preds=preds, y_hat=y_hat, order=order)
+
+
 def preselect(forest: Forest, x: np.ndarray, tau: int) -> np.ndarray:
     """Indices of the tau trees whose predictions sit closest to the forest
     prediction (Euclidean distance; stable sort so ties keep tree order)."""
-    if not 1 <= tau <= forest.n_trees:
-        raise ValueError(f"tau must lie in [1, {forest.n_trees}]")
-    preds = all_tree_predictions(forest, x)
-    y_hat = preds.mean(axis=0)
-    dist = np.linalg.norm(preds - y_hat, axis=1)
-    return np.argsort(dist, kind="stable")[:tau]
+    _check_tau(forest, tau)
+    return _route(forest, x).order[:tau]
+
+
+def rule_vectors(trees, paths, mode: str, p: int) -> np.ndarray:
+    """(len(paths), p) matrix whose row i is the rule vector of node path
+    ``paths[i]`` through ``trees[i]``: per-covariate split counts (simple)
+    or sums of split-node sample fractions (weighted).
+
+    np.bincount adds each covariate's terms one by one in root-to-leaf
+    order, so every entry is the same float as a running sum along the path.
+    """
+    if mode not in (MODE_SIMPLE, MODE_WEIGHTED):
+        raise ValueError(f"unknown vectorization mode {mode!r}")
+    splits = [path[:-1] for path in paths]
+    rows = np.repeat(np.arange(len(paths)), [len(s) for s in splits])
+    bins = rows * p + np.concatenate(
+        [tree.feature[s] for tree, s in zip(trees, splits)]).astype(np.intp)
+    weights = None if mode == MODE_SIMPLE else np.concatenate(
+        [tree.sample_fraction[s] for tree, s in zip(trees, splits)])
+    counts = np.bincount(bins, weights=weights, minlength=len(paths) * p)
+    return counts.reshape(len(paths), p).astype(np.float64, copy=False)
 
 
 def vectorize(tree, x: np.ndarray, mode: str) -> RuleVector:
     """Rule vector of the decision path of x through one tree."""
-    return _vector_from_path(decision_path(tree, x), tree_index=-1, mode=mode,
-                             p=int(x.shape[0]))
+    values = rule_vectors([tree], [node_path(tree, x)], mode, int(x.shape[0]))[0]
+    return RuleVector(values=values, mode=mode, tree_index=-1)
 
 
-def _vector_from_path(steps: list[PathStep], tree_index: int, mode: str, p: int) -> RuleVector:
-    if mode not in (MODE_SIMPLE, MODE_WEIGHTED):
-        raise ValueError(f"unknown vectorization mode {mode!r}")
-    values = np.zeros(p)
-    for step in steps[:-1]:  # final entry is the leaf
-        if mode == MODE_SIMPLE:
-            values[step.feature] += 1.0
-        else:
-            values[step.feature] += step.sample_fraction
-    return RuleVector(values=values, mode=mode, tree_index=tree_index)
+def _selected_vectors(forest: Forest, routes: _Routes, selected: np.ndarray,
+                      mode: str) -> np.ndarray:
+    return rule_vectors([forest.trees[i] for i in selected],
+                        [routes.paths[i] for i in selected], mode, forest.p)
 
 
-@dataclass
-class _InstanceContext:
-    """Per-instance work shared by every grid cell.  Decision paths and rule
-    vectors are materialized lazily, only for trees that survive
-    pre-selection."""
+@dataclass(frozen=True)
+class _Cell:
+    """Clustering of one grid cell and the surrogate it implies."""
 
-    forest: Forest
-    x: np.ndarray
-    mode: str
-    preds: np.ndarray  # (m, w)
-    y_hat: np.ndarray  # (w,)
-    order: np.ndarray  # trees by prediction proximity, stable
-    _paths: dict[int, list[PathStep]] = field(default_factory=dict)
-    _vectors: dict[int, np.ndarray] = field(default_factory=dict)
-
-    def path(self, tree_index: int) -> list[PathStep]:
-        if tree_index not in self._paths:
-            self._paths[tree_index] = decision_path(
-                self.forest.trees[tree_index], self.x)
-        return self._paths[tree_index]
-
-    def vector(self, tree_index: int) -> np.ndarray:
-        if tree_index not in self._vectors:
-            self._vectors[tree_index] = _vector_from_path(
-                self.path(tree_index), tree_index, self.mode, self.forest.p).values
-        return self._vectors[tree_index]
-
-    def vectors_for(self, selected: np.ndarray) -> np.ndarray:
-        return np.vstack([self.vector(int(i)) for i in selected])
+    clustering: Clustering
+    representatives: list[int]  # per cluster, the row of its final rule
+    weights: np.ndarray  # per cluster, its share of the rows
+    surrogate: np.ndarray
+    fidelity: float
 
 
-def _build_context(forest: Forest, x: np.ndarray, mode: str) -> _InstanceContext:
-    if mode not in (MODE_SIMPLE, MODE_WEIGHTED):
-        raise ValueError(f"unknown vectorization mode {mode!r}")
-    preds = all_tree_predictions(forest, x)
-    y_hat = preds.mean(axis=0)
-    dist = np.linalg.norm(preds - y_hat, axis=1)
-    order = np.argsort(dist, kind="stable")
-    return _InstanceContext(forest=forest, x=x, mode=mode, preds=preds,
-                            y_hat=y_hat, order=order)
-
-
-def _explain_cell(
-    forest: Forest,
-    ctx: _InstanceContext,
-    tau: int,
-    dim: int | None,
-    n_clusters: int,
-    mode: str,
-    seed: int,
-) -> Explanation:
-    selected = ctx.order[:tau]
-    vectors = ctx.vectors_for(selected)
-
-    if dim is None:
-        projection = identity_projection(forest.p)
-    else:
-        projection = pca_fit(vectors, min(dim, forest.p))
-    projected = pca_transform(projection, vectors)
-    effective_d = projection.n_components
-
+def _fit_cell(routes: _Routes, selected: np.ndarray, projected: np.ndarray,
+              n_clusters: int, seed: int) -> _Cell:
     clustering = kmeans_pp(projected, n_clusters, seed=seed)
-    k = clustering.n_clusters
-
-    rep_local: list[int] = []
-    for c in range(k):
+    representatives: list[int] = []
+    for c in range(clustering.n_clusters):
         members = np.flatnonzero(clustering.assignments == c)
-        rep_local.append(int(members[nearest_point(projected[members], clustering.centroids[c])]))
+        representatives.append(
+            int(members[nearest_point(projected[members], clustering.centroids[c])]))
+    weights = clustering.sizes / selected.size
+    surrogate = np.zeros(routes.preds.shape[1])
+    for c, local in enumerate(representatives):
+        surrogate += float(weights[c]) * routes.preds[selected[local]]
+    fidelity = 1.0 - float(np.linalg.norm(routes.y_hat - surrogate))
+    return _Cell(clustering, representatives, weights, surrogate, fidelity)
 
-    weights = clustering.sizes / tau
-    surrogate = np.zeros(forest.prediction_width)
+
+def _explanation(forest: Forest, routes: _Routes, selected: np.ndarray,
+                 projected: np.ndarray, effective_d: int, cell: _Cell,
+                 n_clusters: int, mode: str) -> Explanation:
+    tau = selected.size
     rules: list[FinalRule] = []
-    for c, local in enumerate(rep_local):
+    for c, local in enumerate(cell.representatives):
         tree_idx = int(selected[local])
-        weight = float(weights[c])
-        pred = ctx.preds[tree_idx]
-        surrogate += weight * pred
         rules.append(FinalRule(
             tree_index=tree_idx,
-            steps=ctx.path(tree_idx),
-            weight=weight,
-            prediction=pred,
+            steps=path_steps(forest.trees[tree_idx], routes.paths[tree_idx], routes.x),
+            weight=float(cell.weights[c]),
+            prediction=routes.preds[tree_idx],
         ))
     rules.sort(key=lambda r: (-r.weight, r.tree_index))
-
-    fidelity = 1.0 - float(np.linalg.norm(ctx.y_hat - surrogate))
 
     coords = np.zeros((tau, 2))
     coords[:, : min(2, projected.shape[1])] = projected[:, :2]
     rep_mask = np.zeros(tau, dtype=bool)
-    rep_mask[rep_local] = True
+    rep_mask[cell.representatives] = True
+    k = cell.clustering.n_clusters
 
     return Explanation(
-        instance=ctx.x,
+        instance=routes.x,
         chosen_tau=tau,
         chosen_d=effective_d,
         chosen_k=k,
         mode=mode,
         final_rules=rules,
-        surrogate=surrogate,
-        forest_prediction=ctx.y_hat,
-        fidelity=fidelity,
+        surrogate=cell.surrogate,
+        forest_prediction=routes.y_hat,
+        fidelity=cell.fidelity,
         preselected=selected,
         projected=coords,
-        clusters=clustering.assignments,
+        clusters=cell.clustering.assignments,
         representative=rep_mask,
-        rule_predictions=ctx.preds[selected],
+        rule_predictions=routes.preds[selected],
         k_clamped=k < n_clusters,
         requested_k=n_clusters,
     )
@@ -268,12 +267,20 @@ def explain_fixed(
     """Run the pipeline at fixed stage sizes.  ``dim=None`` skips the
     projection (identity); ``n_clusters`` is clamped to the number of
     distinct rule vectors."""
-    if not 1 <= tau <= forest.n_trees:
-        raise ValueError(f"tau must lie in [1, {forest.n_trees}]")
+    _check_tau(forest, tau)
     if n_clusters < 1 or n_clusters > tau:
         raise ValueError("need 1 <= K <= tau")
-    ctx = _build_context(forest, x, mode)
-    return _explain_cell(forest, ctx, tau, dim, n_clusters, mode, seed)
+    routes = _route(forest, x)
+    selected = routes.order[:tau]
+    vectors = _selected_vectors(forest, routes, selected, mode)
+    if dim is None:
+        projection = identity_projection(forest.p)
+    else:
+        projection = pca_fit(vectors, min(dim, forest.p))
+    projected = pca_transform(projection, vectors)
+    cell = _fit_cell(routes, selected, projected, n_clusters, seed)
+    return _explanation(forest, routes, selected, projected, projection.n_components,
+                        cell, n_clusters, mode)
 
 
 def tune_and_explain(
@@ -290,25 +297,43 @@ def tune_and_explain(
 
     One clustering seed is derived per grid cell from ``seed`` (the caller's
     per-instance seed) and the cell index, so results are reproducible and
-    independent of evaluation order.
+    independent of evaluation order.  Every cell gives what ``explain_fixed``
+    gives at its stage sizes and seed: x is routed once, the rule vectors
+    are stacked once (each tau keeps a prefix of the proximity order), and
+    each tau has one eigendecomposition for all its projection dimensions.
     """
     grid = grid or TuningGrid()
     taus = (forest.n_trees,) if flags.skip_preselection else grid.taus
     dims = (NO_PROJECTION,) if flags.skip_projection else grid.dims
-    effective = TuningGrid(taus=taus, dims=dims, ks=grid.ks)
-    effective.validate(forest.n_trees)
+    TuningGrid(taus=taus, dims=dims, ks=grid.ks).validate(forest.n_trees)
 
-    ctx = _build_context(forest, x, mode)
-    best: Explanation | None = None
+    routes = _route(forest, x)
+    stacked = _selected_vectors(forest, routes, routes.order[:max(taus)], mode)
+    best: tuple | None = None
     best_key: tuple | None = None
-    for cell_index, (tau, dim, k) in enumerate(effective.cells()):
-        cell_seed = derive_seed(seed, cell_index)
-        cand = _explain_cell(forest, ctx, tau, dim, k, mode, cell_seed)
-        key = (-cand.fidelity, cand.requested_k, cand.chosen_d, cand.chosen_tau)
-        if best_key is None or key < best_key:
-            best, best_key = cand, key
+    cell_index = 0
+    for tau in taus:
+        selected = routes.order[:tau]
+        vectors = stacked[:tau]
+        spectrum = None
+        for dim in dims:
+            if dim is None:
+                projection = identity_projection(forest.p)
+            else:
+                if spectrum is None:
+                    spectrum = pca_spectrum(vectors)
+                projection = spectrum.projection(min(dim, forest.p))
+            projected = pca_transform(projection, vectors)
+            effective_d = projection.n_components
+            for k in grid.ks:
+                cell = _fit_cell(routes, selected, projected, k, derive_seed(seed, cell_index))
+                cell_index += 1
+                key = (-cell.fidelity, k, effective_d, tau)
+                if best_key is None or key < best_key:
+                    best_key = key
+                    best = (selected, projected, effective_d, cell, k)
     assert best is not None
-    return best
+    return _explanation(forest, routes, *best, mode)
 
 
 # ---------------------------------------------------------------------------

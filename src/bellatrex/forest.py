@@ -21,7 +21,7 @@ import numpy as np
 
 from ._parallel import parallel_map
 from .data import Dataset, TaskKind
-from .errors import UndefinedMetricError
+from .errors import ForestFileError, UndefinedMetricError
 from .metrics import auroc, mae, weighted_auroc
 from .survival import StepFunction, concordance_index, kaplan_meier, risk_score
 
@@ -482,33 +482,49 @@ def all_tree_predictions(forest: Forest, x: np.ndarray) -> np.ndarray:
     return np.vstack([tree_predict(tree, x) for tree in forest.trees])
 
 
-def decision_path(tree: Tree, x: np.ndarray) -> list[PathStep]:
-    """Ordered root-to-leaf steps for one instance; the final entry is the
-    leaf and carries the leaf prediction."""
-    steps: list[PathStep] = []
+def node_path(tree: Tree, x: np.ndarray) -> list[int]:
+    """Node ids from the root to the leaf reached by x; the last entry is
+    the leaf."""
+    feature, threshold = tree.feature, tree.threshold
+    left, right = tree.left, tree.right
     node = 0
-    while not tree.is_leaf(node):
+    nodes = [0]
+    while feature[node] >= 0:
+        node = int(left[node] if x[feature[node]] <= threshold[node] else right[node])
+        nodes.append(node)
+    return nodes
+
+
+def path_steps(tree: Tree, nodes: list[int], x: np.ndarray) -> list[PathStep]:
+    """Decision path steps for the node ids of ``node_path(tree, x)``."""
+    steps: list[PathStep] = []
+    for node in nodes[:-1]:
         j = int(tree.feature[node])
         theta = float(tree.threshold[node])
-        went_left = bool(x[j] <= theta)
         steps.append(PathStep(
             node_id=node,
             feature=j,
             threshold=theta,
-            went_left=went_left,
+            went_left=bool(x[j] <= theta),
             sample_fraction=float(tree.sample_fraction[node]),
             prediction=tree.node_pred[node],
         ))
-        node = int(tree.left[node]) if went_left else int(tree.right[node])
+    leaf = nodes[-1]
     steps.append(PathStep(
-        node_id=node,
+        node_id=leaf,
         feature=None,
         threshold=None,
         went_left=None,
-        sample_fraction=float(tree.sample_fraction[node]),
-        prediction=tree.node_pred[node],
+        sample_fraction=float(tree.sample_fraction[leaf]),
+        prediction=tree.node_pred[leaf],
     ))
     return steps
+
+
+def decision_path(tree: Tree, x: np.ndarray) -> list[PathStep]:
+    """Ordered root-to-leaf steps for one instance; the final entry is the
+    leaf and carries the leaf prediction."""
+    return path_steps(tree, node_path(tree, x), x)
 
 
 def path_length(steps: list[PathStep]) -> int:
@@ -601,8 +617,17 @@ def forest_to_dict(forest: Forest) -> dict:
 
 
 def forest_from_dict(data: dict) -> Forest:
-    if data.get("format") != _FORMAT:
-        raise ValueError("not a serialized forest")
+    if not isinstance(data, dict) or data.get("format") != _FORMAT:
+        raise ForestFileError("not a serialized forest")
+    try:
+        return _forest_from_dict(data)
+    except KeyError as exc:
+        raise ForestFileError(f"serialized forest lacks the key {exc}") from exc
+    except (TypeError, ValueError, AttributeError, IndexError) as exc:
+        raise ForestFileError(f"malformed serialized forest: {exc}") from exc
+
+
+def _forest_from_dict(data: dict) -> Forest:
     task = TaskKind(data["task"])
     trees = []
     for td in data["trees"]:
@@ -648,4 +673,14 @@ def save_forest(forest: Forest, path: str | Path) -> None:
 
 
 def load_forest(path: str | Path) -> Forest:
-    return forest_from_dict(json.loads(Path(path).read_text()))
+    """Read a forest written by ``save_forest``; an unreadable file, invalid
+    JSON or a document that is not a forest raise ForestFileError."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ForestFileError(f"cannot read forest file {path}: {exc}") from exc
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ForestFileError(f"forest file {path} is not valid JSON: {exc}") from exc
+    return forest_from_dict(data)

@@ -59,6 +59,56 @@ def _complete_basis(components: np.ndarray, p: int, want: int) -> np.ndarray:
     return np.array(rows[:want])
 
 
+@dataclass(frozen=True)
+class Spectrum:
+    """Eigenpairs of one centred matrix by descending eigenvalue (clipped at
+    zero): of the p x p covariance when p <= n, otherwise of the n x n Gram
+    matrix.  Every projection dimension fitted to the same rows shares it."""
+
+    mean: np.ndarray
+    centered: np.ndarray
+    eigval: np.ndarray
+    eigvec: np.ndarray
+
+    def projection(self, n_components: int) -> Projection:
+        """The ``pca_fit`` projection to ``n_components`` dimensions."""
+        n, p = self.centered.shape
+        d = max(0, min(n_components, p))
+        if p <= n:
+            variance = self.eigval[:d]
+            components = self.eigvec[:, :d].T
+        else:
+            # the matmul runs at exactly this width: a product one column
+            # wide is not bit-identical to a column of a wider product
+            keep = min(d, int(np.sum(self.eigval > _RANK_TOL)))
+            scale = np.sqrt(n * self.eigval[:keep])
+            components = (self.centered.T @ self.eigvec[:, :keep] / scale).T
+            variance = np.concatenate([self.eigval[:keep], np.zeros(d - keep)])
+            if keep < d:
+                components = _complete_basis(components, p, d)
+        return Projection(
+            mean=self.mean,
+            components=_fix_signs(np.atleast_2d(components.reshape(d, p))),
+            explained_variance=variance,
+        )
+
+
+def pca_spectrum(X: np.ndarray) -> Spectrum:
+    """The eigendecomposition behind ``pca_fit(X, d)`` for every d."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ValueError("X must be a non-empty 2-D matrix")
+    n, p = X.shape
+    mean = X.mean(axis=0)
+    centered = X - mean
+    if p <= n:
+        eigval, eigvec = np.linalg.eigh(centered.T @ centered / n)
+    else:
+        eigval, eigvec = np.linalg.eigh(centered @ centered.T / n)
+    order = np.argsort(eigval)[::-1]
+    return Spectrum(mean, centered, np.clip(eigval[order], 0.0, None), eigvec[:, order])
+
+
 def pca_fit(X: np.ndarray, n_components: int) -> Projection:
     """Principal directions by descending variance (population convention).
 
@@ -68,39 +118,7 @@ def pca_fit(X: np.ndarray, n_components: int) -> Projection:
     Sign convention: the largest-magnitude coordinate of each component is
     positive (first such coordinate on magnitude ties).
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("X must be a non-empty 2-D matrix")
-    n, p = X.shape
-    d = max(0, min(n_components, p))
-    mean = X.mean(axis=0)
-    centered = X - mean
-
-    if p <= n:
-        cov = centered.T @ centered / n
-        eigval, eigvec = np.linalg.eigh(cov)
-        order = np.argsort(eigval)[::-1]
-        variance = np.clip(eigval[order[:d]], 0.0, None)
-        components = eigvec[:, order[:d]].T
-    else:
-        gram = centered @ centered.T / n
-        eigval, eigvec = np.linalg.eigh(gram)
-        order = np.argsort(eigval)[::-1]
-        eigval = np.clip(eigval[order], 0.0, None)
-        eigvec = eigvec[:, order]
-        rank = int(np.sum(eigval > _RANK_TOL))
-        keep = min(d, rank)
-        scale = np.sqrt(n * eigval[:keep])
-        components = (centered.T @ eigvec[:, :keep] / scale).T
-        variance = np.concatenate([eigval[:keep], np.zeros(d - keep)])
-        if keep < d:
-            components = _complete_basis(components, p, d)
-
-    return Projection(
-        mean=mean,
-        components=_fix_signs(np.atleast_2d(components.reshape(d, p))),
-        explained_variance=variance,
-    )
+    return pca_spectrum(X).projection(n_components)
 
 
 def identity_projection(p: int) -> Projection:
@@ -161,8 +179,15 @@ def kmeans_pp(
     # invariant under input row permutation
     order = np.lexsort(X.T[::-1])
     Xs = X[order]
-    distinct = np.unique(Xs, axis=0).shape[0]
+    # equal rows are neighbours in lexicographic order
+    distinct = 1 + int(np.count_nonzero(np.any(Xs[1:] != Xs[:-1], axis=1)))
     k = max(1, min(n_clusters, distinct))
+    if k == 1 and max_iter > 0 and inertia_trace is None:
+        # Lloyd's first pass puts every row in the one cluster and moves its
+        # centroid to their mean, where the second pass stops
+        return Clustering(n_clusters=1, centroids=Xs.mean(axis=0)[None, :],
+                          assignments=np.zeros(n, dtype=np.int64),
+                          sizes=np.array([n], dtype=np.int64))
     rng = np.random.default_rng(seed)
 
     centroids = np.empty((k, X.shape[1]))

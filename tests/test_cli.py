@@ -136,6 +136,59 @@ def test_explain_schema_mismatch_is_data_error(binary_files, tmp_path):
     assert code == 3
 
 
+def trained_model(binary_files, tmp_path):
+    _, data, schema = binary_files
+    model = tmp_path / "model"
+    assert run(["train", "--data", data, "--schema", schema, "--trees", 5,
+                "--out", model]) == 0
+    return model / "forest.json"
+
+
+def explain_with_forest(binary_files, tmp_path, forest_path):
+    _, data, schema = binary_files
+    return run(["explain", "--data", data, "--schema", schema,
+                "--forest", forest_path, "--instances", "0",
+                "--grid-tau", "5", "--grid-k", "1", "--out", tmp_path / "x"])
+
+
+def assert_data_error_without_traceback(code, capsys):
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "data error" in err
+    assert "Traceback" not in err
+
+
+def test_explain_missing_forest_file_is_data_error(binary_files, tmp_path, capsys):
+    code = explain_with_forest(binary_files, tmp_path, tmp_path / "absent.json")
+    assert_data_error_without_traceback(code, capsys)
+
+
+def test_explain_truncated_forest_is_data_error(binary_files, tmp_path, capsys):
+    path = trained_model(binary_files, tmp_path)
+    raw = path.read_text()
+    path.write_text(raw[: len(raw) // 2])
+    code = explain_with_forest(binary_files, tmp_path, path)
+    assert_data_error_without_traceback(code, capsys)
+
+
+def test_explain_wrong_forest_format_is_data_error(binary_files, tmp_path, capsys):
+    path = trained_model(binary_files, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["format"] = "something-else"
+    path.write_text(json.dumps(doc))
+    code = explain_with_forest(binary_files, tmp_path, path)
+    assert_data_error_without_traceback(code, capsys)
+
+
+def test_explain_forest_missing_key_is_data_error(binary_files, tmp_path, capsys):
+    path = trained_model(binary_files, tmp_path)
+    doc = json.loads(path.read_text())
+    del doc["trees"][0]["left"]
+    path.write_text(json.dumps(doc))
+    code = explain_with_forest(binary_files, tmp_path, path)
+    assert_data_error_without_traceback(code, capsys)
+
+
 def test_explain_modes_differ_in_vectors(binary_files, tmp_path):
     _, data, schema = binary_files
     model = tmp_path / "model"

@@ -14,11 +14,18 @@ from bellatrex.explain import (
     preselect,
     render_json,
     render_text,
+    rule_vectors,
     tune_and_explain,
     vectorize,
 )
-from bellatrex.forest import ForestParams, fit_forest
-from bellatrex.synthdata import make_binary
+from bellatrex.forest import ForestParams, decision_path, fit_forest, node_path
+from bellatrex.synthdata import (
+    make_binary,
+    make_multilabel,
+    make_multitarget,
+    make_regression,
+    make_survival,
+)
 
 from conftest import leaf_tree, make_forest, make_tree
 
@@ -113,6 +120,26 @@ def test_vectorize_weighted_entries_bounded_by_path_length():
         weighted = vectorize(tree, x, MODE_WEIGHTED).values
         assert np.all(weighted <= simple + 1e-12)  # every omega <= 1
         assert np.all(simple == np.round(simple))
+
+
+def running_sum_vector(steps, mode, p):
+    """Rule vector by a loop along the path, root first."""
+    values = np.zeros(p)
+    for step in steps[:-1]:
+        values[step.feature] += 1.0 if mode == MODE_SIMPLE else step.sample_fraction
+    return values
+
+
+def test_rule_vectors_equal_running_sums():
+    ds = make_regression(150, 7, seed=3)
+    forest = fit_forest(ds, ForestParams(n_trees=12, seed=4))
+    for x in ds.covariates[:10]:
+        paths = [node_path(tree, x) for tree in forest.trees]
+        for mode in (MODE_SIMPLE, MODE_WEIGHTED):
+            stacked = rule_vectors(forest.trees, paths, mode, forest.p)
+            expected = np.vstack([running_sum_vector(decision_path(tree, x), mode, forest.p)
+                                  for tree in forest.trees])
+            assert np.array_equal(stacked, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +265,105 @@ def test_tune_deterministic():
     assert a.weights == b.weights
     assert [r.tree_index for r in a.final_rules] == [r.tree_index for r in b.final_rules]
     assert np.array_equal(a.projected, b.projected)
+
+
+def exhaustive_winner(forest, x, grid, mode, flags, seed):
+    """The tuning rule applied to explain_fixed run at every cell of the
+    effective grid, each with its own derived seed."""
+    taus = (forest.n_trees,) if flags.skip_preselection else grid.taus
+    dims = (None,) if flags.skip_projection else grid.dims
+    cells = TuningGrid(taus=taus, dims=dims, ks=grid.ks).cells()
+    best, best_key = None, None
+    for idx, (tau, dim, k) in enumerate(cells):
+        e = explain_fixed(forest, x, tau, dim, k, mode=mode, seed=derive_seed(seed, idx))
+        key = (-e.fidelity, e.requested_k, e.chosen_d, e.chosen_tau)
+        if best_key is None or key < best_key:
+            best, best_key = e, key
+    return best
+
+
+def assert_same_explanation(a, b):
+    """Every field equal, bit for bit."""
+    for name in ("instance", "surrogate", "forest_prediction", "preselected",
+                 "projected", "clusters", "representative", "rule_predictions"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    for name in ("chosen_tau", "chosen_d", "chosen_k", "mode", "fidelity",
+                 "k_clamped", "requested_k"):
+        assert getattr(a, name) == getattr(b, name), name
+    assert len(a.final_rules) == len(b.final_rules)
+    for ra, rb in zip(a.final_rules, b.final_rules):
+        assert (ra.tree_index, ra.weight) == (rb.tree_index, rb.weight)
+        assert np.array_equal(ra.prediction, rb.prediction)
+        assert len(ra.steps) == len(rb.steps)
+        for sa, sb in zip(ra.steps, rb.steps):
+            assert (sa.node_id, sa.feature, sa.threshold, sa.went_left,
+                    sa.sample_fraction) == (sb.node_id, sb.feature, sb.threshold,
+                                            sb.went_left, sb.sample_fraction)
+            assert np.array_equal(sa.prediction, sb.prediction)
+
+
+TASK_DATA = {
+    "binary": lambda: make_binary(70, 6, seed=21),
+    "regression": lambda: make_regression(70, 6, seed=22),
+    "multitarget": lambda: make_multitarget(70, 6, 3, seed=23),
+    "multilabel": lambda: make_multilabel(70, 6, 3, seed=24),
+    "survival": lambda: make_survival(70, 6, seed=25),
+}
+ALL_FLAGS = [AblationFlags(a, b) for a in (False, True) for b in (False, True)]
+
+
+@pytest.mark.parametrize("task", sorted(TASK_DATA))
+def test_tuned_explanation_is_explain_fixed_at_its_cell(task):
+    # p = 6 lies between the taus, so both PCA routes (Gram for tau < p,
+    # covariance for tau >= p) are taken; d = 8 is clamped to p
+    ds = TASK_DATA[task]()
+    forest = fit_forest(ds, ForestParams(n_trees=14, seed=3))
+    grid = TuningGrid(taus=(4, 9), dims=(2, 8, None), ks=(1, 2, 3))
+    for mode in (MODE_SIMPLE, MODE_WEIGHTED):
+        for f, flags in enumerate(ALL_FLAGS):
+            for row in (0, 33):
+                x = ds.covariates[row]
+                seed = 7 * row + f
+                tuned = tune_and_explain(forest, x, grid, mode, flags=flags, seed=seed)
+                assert_same_explanation(
+                    tuned, exhaustive_winner(forest, x, grid, mode, flags, seed))
+
+
+# ---------------------------------------------------------------------------
+# Instance validation
+# ---------------------------------------------------------------------------
+
+def bad_instance_calls(x):
+    forest = four_tree_forest()  # p = 3
+    return [
+        lambda: tune_and_explain(forest, x, TuningGrid(taus=(2, 4), ks=(1, 2))),
+        lambda: explain_fixed(forest, x, tau=4, dim=2, n_clusters=2),
+        lambda: preselect(forest, x, 2),
+    ]
+
+
+def test_all_nan_instance_rejected():
+    for call in bad_instance_calls(np.full(3, np.nan)):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
+def test_infinite_value_rejected():
+    for call in bad_instance_calls(np.array([0.0, np.inf, 1.0])):
+        with pytest.raises(ValueError, match="non-finite"):
+            call()
+
+
+def test_too_long_instance_rejected():
+    for call in bad_instance_calls(-np.ones(4)):
+        with pytest.raises(ValueError, match="shape"):
+            call()
+
+
+def test_too_short_instance_rejected():
+    for call in bad_instance_calls(-np.ones(2)):
+        with pytest.raises(ValueError, match="shape"):
+            call()
 
 
 def test_grid_validation():

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from bellatrex.data import Dataset, TaskKind
+from bellatrex.errors import DataError, ForestFileError
 from bellatrex.forest import (
     ForestParams,
     apply,
@@ -377,3 +378,19 @@ def test_round_trip_multitarget(tmp_path):
 def test_from_dict_rejects_garbage():
     with pytest.raises(ValueError):
         forest_from_dict({"format": "something-else"})
+
+
+def test_malformed_forest_files_raise_forest_file_error(tmp_path):
+    ds = make_binary(40, 3, seed=2)
+    doc = forest_to_dict(fit_forest(ds, ForestParams(n_trees=2, seed=1)))
+    del doc["params"]
+    with pytest.raises(ForestFileError, match="params"):
+        forest_from_dict(doc)
+    with pytest.raises(ForestFileError):
+        forest_from_dict(["not", "a", "dict"])
+    with pytest.raises(ForestFileError):
+        load_forest(tmp_path / "absent.json")
+    (tmp_path / "bad.json").write_text("{\"format\": ")
+    with pytest.raises(ForestFileError):
+        load_forest(tmp_path / "bad.json")
+    assert issubclass(ForestFileError, DataError)

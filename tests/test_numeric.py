@@ -2,10 +2,14 @@ import numpy as np
 import pytest
 
 from bellatrex.numeric import (
+    _assign_with_repair,
+    _complete_basis,
+    _fix_signs,
     identity_projection,
     kmeans_pp,
     nearest_point,
     pca_fit,
+    pca_spectrum,
     pca_transform,
 )
 
@@ -121,9 +125,145 @@ def test_pca_transform_dimension_mismatch(rng):
         pca_transform(proj, rng.normal(size=(5, 3)))
 
 
+def reference_pca_fit(X, n_components):
+    """PCA fitted for one dimension alone: the eigendecomposition and, on
+    the Gram route, the back-projection matmul at exactly that width."""
+    n, p = X.shape
+    d = max(0, min(n_components, p))
+    mean = X.mean(axis=0)
+    centered = X - mean
+    if p <= n:
+        eigval, eigvec = np.linalg.eigh(centered.T @ centered / n)
+        order = np.argsort(eigval)[::-1]
+        variance = np.clip(eigval[order[:d]], 0.0, None)
+        components = eigvec[:, order[:d]].T
+    else:
+        eigval, eigvec = np.linalg.eigh(centered @ centered.T / n)
+        order = np.argsort(eigval)[::-1]
+        eigval = np.clip(eigval[order], 0.0, None)
+        eigvec = eigvec[:, order]
+        keep = min(d, int(np.sum(eigval > 1e-12)))
+        components = (centered.T @ eigvec[:, :keep] / np.sqrt(n * eigval[:keep])).T
+        variance = np.concatenate([eigval[:keep], np.zeros(d - keep)])
+        if keep < d:
+            components = _complete_basis(components, p, d)
+    return mean, _fix_signs(np.atleast_2d(components.reshape(d, p))), variance
+
+
+def assert_same_projection(proj, X, d):
+    mean, components, variance = reference_pca_fit(X, d)
+    assert np.array_equal(proj.mean, mean)
+    assert np.array_equal(proj.components, components)
+    assert np.array_equal(proj.explained_variance, variance)
+
+
+def rank_deficient_inputs(rng):
+    yield rng.normal(size=(9, 4))  # covariance route
+    yield rng.normal(size=(3, 7))  # Gram route, n < d for d > 3
+    yield np.tile(rng.normal(size=5), (4, 1))  # identical rows
+    base = rng.normal(size=(3, 6))
+    yield base[[0, 1, 1, 2, 0]]  # duplicate rows, Gram route
+    yield rng.integers(0, 2, size=(12, 4)).astype(float)  # repeated 0/1 rows
+    yield rng.normal(size=(1, 4))  # a single row
+
+
+def test_shared_spectrum_projections_equal_single_fits(rng):
+    # one eigendecomposition serves every d, in any order, bit for bit
+    for X in rank_deficient_inputs(rng):
+        spectrum = pca_spectrum(X)
+        for d in (5, 2, 1, 3, X.shape[1] + 2):
+            assert_same_projection(spectrum.projection(d), X, d)
+            assert_same_projection(pca_fit(X, d), X, d)
+
+
+def test_shared_spectrum_random_cases(rng):
+    # wide rule matrices take the Gram route, whose width-d matmul is where
+    # a sliced wider fit would differ
+    for _ in range(300):
+        n, p = int(rng.integers(2, 12)), int(rng.integers(3, 30))
+        X = rng.random(size=(n, p)) * (rng.random(size=p) < 0.5)
+        spectrum = pca_spectrum(X)
+        for d in (5, 2):
+            assert_same_projection(spectrum.projection(d), X, d)
+
+
 # ---------------------------------------------------------------------------
 # K-Means++
 # ---------------------------------------------------------------------------
+
+def reference_kmeans(X, n_clusters, seed, max_iter=100):
+    """K-Means++ and Lloyd without shortcuts: distinct rows counted with
+    np.unique, and Lloyd iterations run for K = 1 as for any K."""
+    X = np.asarray(X, dtype=np.float64)
+    n = X.shape[0]
+    order = np.lexsort(X.T[::-1])
+    Xs = X[order]
+    k = max(1, min(n_clusters, np.unique(Xs, axis=0).shape[0]))
+    rng = np.random.default_rng(seed)
+    centroids = np.empty((k, X.shape[1]))
+    centroids[0] = Xs[int(rng.integers(n))]
+    if k > 1:
+        best_d2 = np.sum((Xs - centroids[0]) ** 2, axis=1)
+        for c in range(1, k):
+            cum = np.cumsum(best_d2 / best_d2.sum())
+            pick = int(np.searchsorted(cum, rng.random(), side="right"))
+            if pick >= n or best_d2[pick] == 0.0:
+                pick = int(np.argmax(best_d2))
+            centroids[c] = Xs[pick]
+            best_d2 = np.minimum(best_d2, np.sum((Xs - centroids[c]) ** 2, axis=1))
+    assign = None
+    for _ in range(max_iter):
+        new_assign = _assign_with_repair(Xs, centroids, k)
+        if assign is not None and np.array_equal(assign, new_assign):
+            assign = new_assign
+            break
+        assign = new_assign
+        for c in range(k):
+            centroids[c] = Xs[assign == c].mean(axis=0)
+    else:
+        assign = _assign_with_repair(Xs, centroids, k)
+    assignments = np.empty(n, dtype=np.int64)
+    assignments[order] = assign
+    return k, centroids, assignments, np.bincount(assign, minlength=k)
+
+
+def assert_matches_reference(X, n_clusters, seed, max_iter=100):
+    got = kmeans_pp(X, n_clusters, seed=seed, max_iter=max_iter)
+    k, centroids, assignments, sizes = reference_kmeans(X, n_clusters, seed, max_iter)
+    assert got.n_clusters == k
+    assert np.array_equal(got.centroids, centroids)
+    assert np.array_equal(got.assignments, assignments)
+    assert np.array_equal(got.sizes, sizes)
+    return got
+
+
+def test_kmeans_k1_matches_lloyd(rng):
+    for seed in range(20):
+        X = rng.normal(size=(int(rng.integers(1, 30)), int(rng.integers(1, 5))))
+        assert_matches_reference(X, 1, seed)
+
+
+def test_kmeans_k1_without_iterations_keeps_seeded_centroid(rng):
+    X = rng.normal(size=(15, 3))
+    got = assert_matches_reference(X, 1, seed=4, max_iter=0)
+    assert any(np.array_equal(got.centroids[0], row) for row in X)
+
+
+def test_kmeans_duplicate_rows_match_lloyd(rng):
+    base = rng.normal(size=(4, 2))
+    base[:, 0] = base[0, 0]  # distinct rows that agree in their first column
+    X = base[rng.integers(0, 4, size=25)]
+    for k in (1, 2, 3, 4, 6):
+        for seed in range(5):
+            assert_matches_reference(X, k, seed)
+
+
+def test_kmeans_signed_zero_rows_count_as_equal():
+    X = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [1.0, 0.0], [0.0, 1.0]])
+    for k in (1, 2, 3):
+        for seed in range(4):
+            got = assert_matches_reference(X, k, seed)
+            assert got.n_clusters == min(k, 2)
 
 def test_kmeans_single_cluster_is_mean(rng):
     X = rng.normal(size=(20, 3))
