@@ -297,7 +297,8 @@ def tune_and_explain(
 
     One clustering seed is derived per grid cell from ``seed`` (the caller's
     per-instance seed) and the cell index, so results are reproducible and
-    independent of evaluation order.  Every cell gives what ``explain_fixed``
+    independent of evaluation order; K=1 cells need no seed and derive none,
+    but keep their index.  Every cell gives what ``explain_fixed``
     gives at its stage sizes and seed: x is routed once, the rule vectors
     are stacked once (each tau keeps a prefix of the proximity order), and
     each tau has one eigendecomposition for all its projection dimensions.
@@ -326,7 +327,9 @@ def tune_and_explain(
             projected = pca_transform(projection, vectors)
             effective_d = projection.n_components
             for k in grid.ks:
-                cell = _fit_cell(routes, selected, projected, k, derive_seed(seed, cell_index))
+                # kmeans_pp returns K=1 in closed form and never reads its seed
+                cell_seed = derive_seed(seed, cell_index) if k > 1 else 0
+                cell = _fit_cell(routes, selected, projected, k, cell_seed)
                 cell_index += 1
                 key = (-cell.fidelity, k, effective_d, tau)
                 if best_key is None or key < best_key:

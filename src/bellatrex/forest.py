@@ -9,6 +9,18 @@ candidate thresholds are midpoints between consecutive distinct sorted
 values; gain ties resolve to the lowest covariate index, then the lowest
 threshold.  Training is bit-deterministic: tree i draws from an RNG stream
 seeded by (seed, i), independent of thread count.
+
+Split search is one pass per node over all candidate covariates: one
+argsort along each candidate, non-cuts (equal neighbours) masked, and 2-D
+prefix sums.  Gini and variance gains come straight from the prefix sums.
+The log-rank statistic is screened first: with the node's Nelson-Aalen
+hazard H, a left child's O - E is the prefix sum of delta_i - H(t_i), and
+its variance is sum W(t_i) - sum_{i,j} A(min(t_i, t_j)) over the child's
+rows (see ``_logrank_screen``).  Those sums round differently from the
+per-cut formula, so every cut whose score could reach the node's best, and
+every cut whose variance may be zero, is ranked again by the exact per-cut
+formula (integer at-risk and event counts per event time), which picks the
+split; the forest does not depend on the faster arithmetic.
 """
 from __future__ import annotations
 
@@ -36,6 +48,10 @@ class ForestParams:
     seed: int = 0
     max_depth: int | None = None
     bootstrap: bool = True
+
+    def __post_init__(self) -> None:
+        if self.max_depth is not None and self.max_depth < 0:
+            raise ValueError("max_depth must be non-negative")
 
     def resolve_min_split(self, task: TaskKind) -> int:
         if self.min_samples_split is not None:
@@ -151,75 +167,188 @@ def variance_reduction(parent, left, right) -> float:
     return float(reduction.mean())
 
 
-def _scan_impurity(values: np.ndarray, y: np.ndarray, regression: bool):
-    """Best (threshold, gain) along one covariate, or None.
+def best_split(
+    X: np.ndarray,
+    Y: np.ndarray,
+    task: TaskKind,
+    rows: np.ndarray,
+    candidates: np.ndarray,
+) -> tuple[int, float, float] | None:
+    """Best (covariate, threshold, score) over the candidate covariates, or
+    None when no candidate separates the rows with positive gain.
 
-    Shared scan for Gini (labels) and variance (targets): prefix sums give
-    the left/right child statistics at every boundary between consecutive
-    distinct sorted values in a single pass.
+    One pass per node: the rows are sorted along every candidate at once,
+    and positions where the next sorted value is equal are masked as
+    non-cuts.  The best cut is the first maximum in (covariate, position)
+    order.
     """
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    cuts = np.flatnonzero(sv[:-1] < sv[1:])
-    if cuts.size == 0:
+    rows = np.asarray(rows)
+    if rows.size < 2:
         return None
-    sy = y[order]
-    n = sv.size
-    n_left = (cuts + 1).astype(np.float64)
+    cand = np.sort(np.asarray(candidates))
+    values = X[rows[None, :], cand[:, None]]  # (m, n): one row per candidate
+    order = np.argsort(values, axis=1, kind="stable")
+    sv = np.sort(values, axis=1)
+    is_cut = sv[:, :-1] < sv[:, 1:]
+    if not is_cut.any():
+        return None
+    sub_y = Y[rows]
+    if task is TaskKind.SURVIVAL:
+        found = _logrank_best(order, is_cut, sub_y[:, 0], sub_y[:, 1] > 0.5)
+    else:
+        found = _impurity_best(order, is_cut, sub_y, regression=not task.classification_like)
+    if found is None:
+        return None
+    f, c, score = found
+    if not score > _MIN_GAIN:
+        return None
+    threshold = 0.5 * (sv[f, c] + sv[f, c + 1])
+    return int(cand[f]), threshold, score
+
+
+def _impurity_best(order: np.ndarray, is_cut: np.ndarray, y: np.ndarray, regression: bool):
+    """(candidate, position, gain) of the best Gini or variance cut.
+
+    Prefix sums along each sorted candidate give the left/right child
+    statistics at every position in one 2-D pass.
+    """
+    n = order.shape[1]
+    sy = y[order]  # (m, n, w)
+    n_left = np.arange(1, n, dtype=np.float64)
     n_right = n - n_left
-    cum = np.cumsum(sy, axis=0)
-    left_sum = cum[cuts]
-    total = cum[-1]
+    nl = n_left[:, None]
+    nr = n_right[:, None]
+    cum = np.cumsum(sy, axis=1)
+    left_sum = cum[:, :-1]
+    total = cum[:, -1:]
     right_sum = total - left_sum
 
     if regression:
-        cum2 = np.cumsum(sy * sy, axis=0)
-        left_sq = cum2[cuts]
-        total_sq = cum2[-1]
+        cum2 = np.cumsum(sy * sy, axis=1)
+        left_sq = cum2[:, :-1]
+        total_sq = cum2[:, -1:]
         var_parent = np.maximum(total_sq / n - (total / n) ** 2, 0.0)
-        var_left = np.maximum(left_sq / n_left[:, None] - (left_sum / n_left[:, None]) ** 2, 0.0)
-        var_right = np.maximum(
-            (total_sq - left_sq) / n_right[:, None]
-            - (right_sum / n_right[:, None]) ** 2,
-            0.0,
-        )
-        gain = (
-            var_parent[None, :]
-            - (n_left / n)[:, None] * var_left
-            - (n_right / n)[:, None] * var_right
-        ).mean(axis=1)
+        var_left = np.maximum(left_sq / nl - (left_sum / nl) ** 2, 0.0)
+        var_right = np.maximum((total_sq - left_sq) / nr - (right_sum / nr) ** 2, 0.0)
+        gain = (var_parent - (nl / n) * var_left - (nr / n) * var_right).mean(axis=2)
     else:
         q_parent = total / n
-        q_left = left_sum / n_left[:, None]
-        q_right = right_sum / n_right[:, None]
-        g_parent = (2.0 * q_parent * (1.0 - q_parent)).mean()
-        g_left = (2.0 * q_left * (1.0 - q_left)).mean(axis=1)
-        g_right = (2.0 * q_right * (1.0 - q_right)).mean(axis=1)
+        q_left = left_sum / nl
+        q_right = right_sum / nr
+        g_parent = (2.0 * q_parent * (1.0 - q_parent)).mean(axis=2)
+        g_left = (2.0 * q_left * (1.0 - q_left)).mean(axis=2)
+        g_right = (2.0 * q_right * (1.0 - q_right)).mean(axis=2)
         gain = g_parent - (n_left / n) * g_left - (n_right / n) * g_right
 
-    best = int(np.argmax(gain))
-    threshold = 0.5 * (sv[cuts[best]] + sv[cuts[best] + 1])
-    return threshold, float(gain[best])
+    gain[~is_cut] = -np.inf
+    f, c = np.unravel_index(int(np.argmax(gain)), gain.shape)
+    return int(f), int(c), float(gain[f, c])
 
 
-def _scan_logrank(values: np.ndarray, times: np.ndarray, events: np.ndarray):
-    """Best (threshold, |logrank statistic|) along one covariate, or None."""
-    order = np.argsort(values, kind="stable")
-    sv = values[order]
-    cuts = np.flatnonzero(sv[:-1] < sv[1:])
-    if cuts.size == 0:
-        return None
-    t = times[order]
-    e = events[order]
-    grid = np.unique(t[e])
-    if grid.size == 0:
-        return None
-    at_risk = t[:, None] >= grid[None, :]
-    event_at = e[:, None] & (t[:, None] == grid[None, :])
-    n_risk = at_risk.sum(axis=0).astype(np.float64)
-    n_events = event_at.sum(axis=0).astype(np.float64)
-    left_risk = np.cumsum(at_risk, axis=0)[cuts].astype(np.float64)
-    left_events = np.cumsum(event_at, axis=0)[cuts].astype(np.float64)
+def _event_tables(times: np.ndarray, events: np.ndarray):
+    """Each row's event-time rank (the number of the node's distinct event
+    times <= its time, so row i is at risk at the g-th event time iff
+    g <= rank) and the at-risk and event counts per event time."""
+    grid = np.unique(times[events])
+    ranks = np.searchsorted(grid, times, side="right")
+    per_rank = np.bincount(ranks, minlength=grid.size + 1)
+    n_risk = np.cumsum(per_rank[::-1])[::-1][1:].astype(np.float64)
+    n_events = np.bincount(ranks[events], minlength=grid.size + 1)[1:].astype(np.float64)
+    return ranks, n_risk, n_events
+
+
+def _logrank_screen(ranks: np.ndarray, events: np.ndarray, n_risk: np.ndarray,
+                    n_events: np.ndarray, is_cut: np.ndarray):
+    """Screening log-rank statistic at every position, and the mask of the
+    cuts whose exact score could reach the node's best.
+
+    ``ranks`` and ``events`` are (m, n) in each candidate's sorted order;
+    the left child of position c holds the first c + 1 rows.  With the
+    node's Nelson-Aalen hazard H, variance weights w_g = d_g (n_g - d_g) /
+    (n_g - 1), W(r) = sum_{g<=r} w_g / n_g and A(r) = sum_{g<=r} w_g / n_g^2:
+
+        O - E    = sum_{i in left} (delta_i - H(r_i))
+        variance = sum_{i in left} W(r_i) - sum_{i,j in left} A(min(r_i, r_j))
+
+    The pair sum is built in blocks of about sqrt(G) rows (G event times):
+    pairs inside a block directly, pairs with earlier blocks through the
+    cumulative rank counts at the block start.  Every sum above is a
+    recursive sum of at most n + G + s terms with nonnegative magnitudes
+    bounded by the node totals, so the absolute error of O - E and of the
+    variance is below ``tol`` times those totals; each cut gets the score
+    interval this implies.  A cut is kept when its upper bound reaches the
+    best lower bound; a cut whose variance may be zero has no upper bound,
+    scores 0 here and is always kept.
+    """
+    m, n = ranks.shape
+    G = n_risk.size
+    with np.errstate(divide="ignore", invalid="ignore"):
+        weight = np.where(n_risk > 1, n_events * (n_risk - n_events) / (n_risk - 1.0), 0.0)
+    hazard = np.concatenate(([0.0], np.cumsum(n_events / n_risk)))
+    linear = np.concatenate(([0.0], np.cumsum(weight / n_risk)))
+    pair_weight = np.concatenate(([0.0], weight / (n_risk * n_risk)))
+    quad = np.cumsum(pair_weight)
+
+    numerator = np.cumsum(events - hazard[ranks], axis=1)[:, :-1]
+    linear_sum = np.cumsum(linear[ranks], axis=1)
+
+    s = max(1, math.isqrt(G - 1) + 1)  # block length, ceil(sqrt(G))
+    n_blocks = -(-n // s)
+    blocked = np.zeros((m, n_blocks * s), dtype=np.int64)
+    blocked[:, :n] = ranks  # padding has rank 0: A(0) = 0 pairs it with nothing
+    blocked = blocked.reshape(m, n_blocks, s)
+    # rows of earlier blocks with rank >= g, for every block start
+    cell = np.arange(0, m * n_blocks * (G + 1), G + 1).reshape(m, n_blocks, 1) + blocked
+    hist = np.bincount(cell.ravel(), minlength=m * n_blocks * (G + 1)).reshape(m, n_blocks, G + 1)
+    earlier = np.cumsum(hist, axis=1) - hist
+    at_least = np.cumsum(earlier[:, :, ::-1], axis=2)[:, :, ::-1]
+    cross = np.cumsum(pair_weight * at_least, axis=2)
+    pairs_earlier = cross.reshape(-1)[cell]
+    # pairs (j, k) with j before k inside a block; index 0 is quad's zero
+    inside = np.minimum(blocked[:, :, :, None], blocked[:, :, None, :])
+    pairs_inside = quad[np.tril(inside, -1)].sum(axis=3)
+    increment = quad[blocked] + 2.0 * (pairs_earlier + pairs_inside)
+    pair_sum = np.cumsum(increment.reshape(m, -1)[:, :n], axis=1)
+    variance = (linear_sum - pair_sum)[:, :-1]
+
+    tol = 4.0 * (n + G + s + 16) * np.finfo(np.float64).eps
+    slack_num = tol * (n_events.sum() + hazard[ranks[0]].sum())
+    slack_var = tol * weight.sum()
+    spread = np.abs(numerator)
+    sure = is_cut & (variance > slack_var)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        score = np.where(sure, spread / np.sqrt(np.where(sure, variance, 1.0)), 0.0)
+        low = np.where(sure, np.maximum(spread - slack_num, 0.0)
+                       / np.sqrt(variance + slack_var), 0.0)
+        high = np.where(sure, (spread + slack_num)
+                        / np.sqrt(np.where(sure, variance - slack_var, 1.0)), np.inf)
+    keep = is_cut & (high >= max(float(low.max()), _MIN_GAIN))
+    return score, keep
+
+
+def _logrank_exact(ranks: np.ndarray, events: np.ndarray, n_risk: np.ndarray,
+                   n_events: np.ndarray, feat: np.ndarray, pos: np.ndarray) -> np.ndarray:
+    """|log-rank statistic| of the cuts (feat, pos), listed in (candidate,
+    position) order, by the per-cut formula: integer left-child at-risk and
+    event counts per event time, then one row of terms per cut."""
+    m, n = ranks.shape
+    G = n_risk.size
+    k = feat.size
+    # each row counts toward the first listed cut of its candidate at or
+    # after its position; a running sum per candidate then gives every cut
+    # its whole left child
+    key = feat * n + pos
+    row_key = np.arange(m * n)
+    seg = np.searchsorted(key, row_key)
+    own = seg < k
+    own[own] = feat[seg[own]] == row_key[own] // n
+    cell = (seg[own] * 2 + events.ravel()[own]) * (G + 1) + ranks.ravel()[own]
+    counts = np.cumsum(np.bincount(cell, minlength=k * 2 * (G + 1)).reshape(k, 2, G + 1), axis=0)
+    first = np.searchsorted(feat, feat)
+    counts -= np.where((first > 0)[:, None, None], counts[first - 1], 0)
+    at_rank = counts.sum(axis=1)
+    left_risk = np.cumsum(at_rank[:, ::-1], axis=1)[:, ::-1][:, 1:].astype(np.float64)
+    left_events = counts[:, 1, 1:].astype(np.float64)
 
     observed_minus_expected = (left_events - n_events * left_risk / n_risk).sum(axis=1)
     ratio = left_risk / n_risk
@@ -230,40 +359,24 @@ def _scan_logrank(values: np.ndarray, times: np.ndarray, events: np.ndarray):
             0.0,
         )
     variance = var_terms.sum(axis=1)
-    score = np.where(variance > 0, np.abs(observed_minus_expected) / np.sqrt(np.maximum(variance, 1e-300)), 0.0)
+    return np.where(variance > 0, np.abs(observed_minus_expected) / np.sqrt(np.maximum(variance, 1e-300)), 0.0)
+
+
+def _logrank_best(order: np.ndarray, is_cut: np.ndarray, times: np.ndarray, events: np.ndarray):
+    """(candidate, position, score) of the best log-rank cut: screened by
+    prefix sums, then the kept cuts ranked by the exact per-cut formula."""
+    if not events.any():
+        return None
+    ranks, n_risk, n_events = _event_tables(times, events)
+    sorted_ranks = ranks[order]
+    sorted_events = events[order]
+    _, keep = _logrank_screen(sorted_ranks, sorted_events, n_risk, n_events, is_cut)
+    feat, pos = np.nonzero(keep)
+    if feat.size == 0:
+        return None
+    score = _logrank_exact(sorted_ranks, sorted_events, n_risk, n_events, feat, pos)
     best = int(np.argmax(score))
-    if score[best] <= 0.0:
-        return None
-    threshold = 0.5 * (sv[cuts[best]] + sv[cuts[best] + 1])
-    return threshold, float(score[best])
-
-
-def best_split(
-    X: np.ndarray,
-    Y: np.ndarray,
-    task: TaskKind,
-    rows: np.ndarray,
-    candidates: np.ndarray,
-) -> tuple[int, float, float] | None:
-    """Best (covariate, threshold, score) over the candidate covariates, or
-    None when no candidate separates the rows with positive gain."""
-    rows = np.asarray(rows)
-    if rows.size < 2:
-        return None
-    sub_y = Y[rows]
-    best_result: tuple[int, float, float] | None = None
-    for j in np.sort(np.asarray(candidates)):
-        values = X[rows, j]
-        if task is TaskKind.SURVIVAL:
-            found = _scan_logrank(values, sub_y[:, 0], sub_y[:, 1] > 0.5)
-        else:
-            found = _scan_impurity(values, sub_y, regression=not task.classification_like)
-        if found is None:
-            continue
-        threshold, score = found
-        if score > _MIN_GAIN and (best_result is None or score > best_result[2]):
-            best_result = (int(j), threshold, score)
-    return best_result
+    return int(feat[best]), int(pos[best]), float(score[best])
 
 
 # ---------------------------------------------------------------------------

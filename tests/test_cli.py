@@ -59,6 +59,16 @@ def test_train_survival_min_split_default(survival_files, tmp_path):
     assert forest.min_samples_split == 10
 
 
+def test_train_negative_max_depth_is_usage_error(binary_files, tmp_path, capsys):
+    _, data, schema = binary_files
+    out = tmp_path / "model"
+    code = run(["train", "--data", data, "--schema", schema,
+                "--trees", 3, "--max-depth", -1, "--out", out])
+    assert code == 2
+    assert "max_depth" in capsys.readouterr().err
+    assert not (out / "forest.json").exists()
+
+
 def test_invalid_task_is_usage_error(binary_files, tmp_path):
     _, data, _ = binary_files
     with pytest.raises(SystemExit) as err:

@@ -235,6 +235,24 @@ def test_tune_matches_exhaustive_grid(rng):
         assert best.fidelity == max(fidelities)
 
 
+def test_tune_derives_seeds_only_for_multi_cluster_cells(monkeypatch):
+    import bellatrex.explain as explain_mod
+
+    ds = make_binary(120, 5, seed=6)
+    forest = fit_forest(ds, ForestParams(n_trees=20, seed=7))
+    grid = TuningGrid(taus=(5, 10, 20), dims=(2, None), ks=(1, 2, 3))
+    calls = []
+
+    def counted(*parts):
+        calls.append(parts)
+        return derive_seed(*parts)
+
+    monkeypatch.setattr(explain_mod, "derive_seed", counted)
+    tune_and_explain(forest, ds.covariates[4], grid, seed=9)
+    # cells are numbered in grid order whether or not they take a seed
+    assert calls == [(9, idx) for idx, (_, _, k) in enumerate(grid.cells()) if k > 1]
+
+
 def test_tune_skip_preselection_uses_all_trees():
     ds = make_binary(80, 4, seed=8)
     forest = fit_forest(ds, ForestParams(n_trees=25, seed=9))

@@ -1,12 +1,17 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
+import bellatrex.forest as forest_mod
 from bellatrex.data import Dataset, TaskKind
 from bellatrex.errors import DataError, ForestFileError
 from bellatrex.forest import (
+    _MIN_GAIN,
     ForestParams,
+    _event_tables,
+    _logrank_screen,
     apply,
     best_split,
     decision_path,
@@ -23,7 +28,13 @@ from bellatrex.forest import (
     variance_reduction,
 )
 from bellatrex.survival import logrank_score
-from bellatrex.synthdata import make_binary, make_multitarget, make_survival
+from bellatrex.synthdata import (
+    make_binary,
+    make_multilabel,
+    make_multitarget,
+    make_regression,
+    make_survival,
+)
 
 from conftest import leaf_tree, make_forest, make_tree
 
@@ -138,6 +149,298 @@ def test_logrank_scan_matches_pairwise_oracle(rng):
 
 
 # ---------------------------------------------------------------------------
+# Batched split search against the per-covariate reference scan
+# ---------------------------------------------------------------------------
+
+def _scan_impurity(values, y, regression):
+    """Reference: best (threshold, gain) along one covariate, or None."""
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    cuts = np.flatnonzero(sv[:-1] < sv[1:])
+    if cuts.size == 0:
+        return None
+    sy = y[order]
+    n = sv.size
+    n_left = (cuts + 1).astype(np.float64)
+    n_right = n - n_left
+    cum = np.cumsum(sy, axis=0)
+    left_sum = cum[cuts]
+    total = cum[-1]
+    right_sum = total - left_sum
+
+    if regression:
+        cum2 = np.cumsum(sy * sy, axis=0)
+        left_sq = cum2[cuts]
+        total_sq = cum2[-1]
+        var_parent = np.maximum(total_sq / n - (total / n) ** 2, 0.0)
+        var_left = np.maximum(left_sq / n_left[:, None] - (left_sum / n_left[:, None]) ** 2, 0.0)
+        var_right = np.maximum(
+            (total_sq - left_sq) / n_right[:, None]
+            - (right_sum / n_right[:, None]) ** 2,
+            0.0,
+        )
+        gain = (
+            var_parent[None, :]
+            - (n_left / n)[:, None] * var_left
+            - (n_right / n)[:, None] * var_right
+        ).mean(axis=1)
+    else:
+        q_parent = total / n
+        q_left = left_sum / n_left[:, None]
+        q_right = right_sum / n_right[:, None]
+        g_parent = (2.0 * q_parent * (1.0 - q_parent)).mean()
+        g_left = (2.0 * q_left * (1.0 - q_left)).mean(axis=1)
+        g_right = (2.0 * q_right * (1.0 - q_right)).mean(axis=1)
+        gain = g_parent - (n_left / n) * g_left - (n_right / n) * g_right
+
+    best = int(np.argmax(gain))
+    threshold = 0.5 * (sv[cuts[best]] + sv[cuts[best] + 1])
+    return threshold, float(gain[best])
+
+
+def _scan_logrank(values, times, events):
+    """Reference: best (threshold, |logrank statistic|) along one covariate,
+    from (rows x event times) at-risk and event matrices, or None."""
+    order = np.argsort(values, kind="stable")
+    sv = values[order]
+    cuts = np.flatnonzero(sv[:-1] < sv[1:])
+    if cuts.size == 0:
+        return None
+    t = times[order]
+    e = events[order]
+    grid = np.unique(t[e])
+    if grid.size == 0:
+        return None
+    at_risk = t[:, None] >= grid[None, :]
+    event_at = e[:, None] & (t[:, None] == grid[None, :])
+    n_risk = at_risk.sum(axis=0).astype(np.float64)
+    n_events = event_at.sum(axis=0).astype(np.float64)
+    left_risk = np.cumsum(at_risk, axis=0)[cuts].astype(np.float64)
+    left_events = np.cumsum(event_at, axis=0)[cuts].astype(np.float64)
+
+    observed_minus_expected = (left_events - n_events * left_risk / n_risk).sum(axis=1)
+    ratio = left_risk / n_risk
+    with np.errstate(divide="ignore", invalid="ignore"):
+        var_terms = np.where(
+            n_risk > 1,
+            n_events * ratio * (1.0 - ratio) * (n_risk - n_events) / (n_risk - 1.0),
+            0.0,
+        )
+    variance = var_terms.sum(axis=1)
+    score = np.where(variance > 0, np.abs(observed_minus_expected) / np.sqrt(np.maximum(variance, 1e-300)), 0.0)
+    best = int(np.argmax(score))
+    if score[best] <= 0.0:
+        return None
+    threshold = 0.5 * (sv[cuts[best]] + sv[cuts[best] + 1])
+    return threshold, float(score[best])
+
+
+def reference_best_split(X, Y, task, rows, candidates):
+    """One scan per candidate covariate; strict improvement keeps the lowest
+    covariate index on ties."""
+    rows = np.asarray(rows)
+    if rows.size < 2:
+        return None
+    sub_y = Y[rows]
+    best_result = None
+    for j in np.sort(np.asarray(candidates)):
+        values = X[rows, j]
+        if task is TaskKind.SURVIVAL:
+            found = _scan_logrank(values, sub_y[:, 0], sub_y[:, 1] > 0.5)
+        else:
+            found = _scan_impurity(values, sub_y, regression=not task.classification_like)
+        if found is None:
+            continue
+        threshold, score = found
+        if score > _MIN_GAIN and (best_result is None or score > best_result[2]):
+            best_result = (int(j), threshold, score)
+    return best_result
+
+
+def _random_node(rng, task, n, p):
+    """Covariates (rounded in half the draws, so many equal neighbours) and
+    targets for one node; survival draws tied integer times in half the
+    draws and an event share anywhere from none to all."""
+    X = rng.normal(size=(n, p))
+    if rng.random() < 0.5:
+        X = np.round(X * rng.integers(1, 4))
+    if task is TaskKind.SURVIVAL:
+        if rng.random() < 0.5:
+            times = rng.integers(1, int(rng.integers(2, 12)), size=n).astype(np.float64)
+        else:
+            times = rng.uniform(0.1, 5.0, n)
+        share = rng.choice([0.0, 1.0, rng.random()])
+        Y = np.column_stack([times, (rng.random(n) < share).astype(np.float64)])
+    elif task is TaskKind.BINARY:
+        Y = (rng.random((n, 1)) < rng.random()).astype(np.float64)
+    elif task is TaskKind.MULTI_LABEL:
+        Y = (rng.random((n, 3)) < 0.5).astype(np.float64)
+    elif task is TaskKind.REGRESSION:
+        Y = rng.normal(size=(n, 1))
+    else:
+        Y = rng.normal(size=(n, 3))
+    return X, Y
+
+
+@pytest.mark.parametrize("task", list(TaskKind))
+def test_best_split_equals_reference_scan(task):
+    rng = np.random.default_rng(sorted(TaskKind, key=lambda t: t.value).index(task))
+    for _ in range(150):
+        n = int(rng.integers(2, 60))
+        p = int(rng.integers(1, 7))
+        X, Y = _random_node(rng, task, n, p)
+        rows = rng.integers(0, n, size=n) if rng.random() < 0.5 else np.arange(n)
+        mtry = int(rng.integers(1, p + 1))
+        cand = rng.choice(p, size=mtry, replace=False)
+        assert best_split(X, Y, task, rows, cand) == reference_best_split(X, Y, task, rows, cand)
+        rest = np.setdiff1d(np.arange(p), cand)
+        if rest.size:  # the fallback of a node whose mtry draw found nothing
+            assert best_split(X, Y, task, rows, rest) == reference_best_split(X, Y, task, rows, rest)
+
+
+def test_best_split_equals_reference_at_scale():
+    rng = np.random.default_rng(7)
+    ds = make_survival(600, 6, seed=3)
+    rows = rng.integers(0, 600, size=600)
+    ref = reference_best_split(ds.covariates, ds.targets, TaskKind.SURVIVAL, rows, np.arange(6))
+    assert best_split(ds.covariates, ds.targets, TaskKind.SURVIVAL, rows, np.arange(6)) == ref
+    X = np.round(ds.covariates, 1)
+    ref = reference_best_split(X, ds.targets, TaskKind.SURVIVAL, rows, np.arange(6))
+    assert best_split(X, ds.targets, TaskKind.SURVIVAL, rows, np.arange(6)) == ref
+
+
+@pytest.mark.parametrize("times, events, first, last, winner", [
+    # features 0 and 4 reach sqrt(6) on different partitions, bit for bit
+    # equal: the lower index wins
+    ([3, 3, 1, 3, 3, 4, 5, 2, 2, 5], [1, 0, 0, 1, 1, 1, 0, 0, 0, 0],
+     [2, 4, 3, 0, 1, 6, 9, 8, 7, 5], [5, 9, 3, 2, 0, 6, 8, 1, 4, 7], 0),
+    # the same value in exact arithmetic, but feature 4's rounds higher
+    ([4, 5, 1, 3, 4, 2, 4, 1, 1, 5], [1, 1, 0, 1, 0, 1, 1, 0, 0, 1],
+     [4, 1, 9, 0, 3, 6, 5, 8, 7, 2], [1, 2, 7, 4, 9, 0, 6, 3, 8, 5], 4),
+])
+def test_best_split_logrank_tie_follows_reference(times, events, first, last, winner):
+    X = np.column_stack([first, np.zeros((10, 3)), last]).astype(np.float64)
+    Y = np.column_stack([times, events]).astype(np.float64)
+    found = best_split(X, Y, TaskKind.SURVIVAL, np.arange(10), np.arange(5))
+    assert found == reference_best_split(X, Y, TaskKind.SURVIVAL, np.arange(10), np.arange(5))
+    assert found[0] == winner
+    assert found[2] == pytest.approx(math.sqrt(6), rel=1e-15)
+
+
+def _fit_json(ds, params):
+    return json.dumps(forest_to_dict(fit_forest(ds, params)))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_binary(120, 6, seed=1),
+    lambda: make_regression(120, 6, seed=2),
+    lambda: make_multitarget(100, 5, 3, seed=3),
+    lambda: make_multilabel(100, 5, 3, seed=4),
+    lambda: make_survival(150, 6, seed=5),
+], ids=["binary", "regression", "multi-target", "multi-label", "survival"])
+def test_forest_equals_reference_scan_forest(make, monkeypatch):
+    ds = make()
+    params = ForestParams(n_trees=3, seed=11, min_samples_split=4)
+    fitted = _fit_json(ds, params)
+    monkeypatch.setattr(forest_mod, "best_split", reference_best_split)
+    assert fitted == _fit_json(ds, params)
+
+
+# ---------------------------------------------------------------------------
+# The log-rank screen against the two-group oracle
+# ---------------------------------------------------------------------------
+
+def _variance_is_zero(times, events, left):
+    """True when every event time's hypergeometric variance term vanishes:
+    the left group holds none or all of its risk set, or the term's weight
+    is zero (one row at risk, or every row at risk has the event)."""
+    for g in np.unique(times[events]):
+        at_risk = times >= g
+        n = int(at_risk.sum())
+        d = int((events & (times == g)).sum())
+        n_left = int((at_risk & left).sum())
+        if n > 1 and d < n and 0 < n_left < n:
+            return False
+    return True
+
+
+def _screen_one(times, events, X):
+    order = np.argsort(X.T, axis=1, kind="stable")
+    sv = np.sort(X.T, axis=1)
+    is_cut = sv[:, :-1] < sv[:, 1:]
+    ranks, n_risk, n_events = _event_tables(times, events)
+    score, keep = _logrank_screen(ranks[order], events[order], n_risk, n_events, is_cut)
+    return order, is_cut, score, keep
+
+
+def _check_screen(times, events, X):
+    """Every cut's screening statistic equals the oracle within 1e-9
+    relative; cuts with zero variance are kept and score 0; the cuts that
+    reach the best exact score are kept."""
+    times = np.asarray(times, dtype=np.float64)
+    events = np.asarray(events, dtype=bool)
+    order, is_cut, score, keep = _screen_one(times, events, X)
+    assert np.all(np.isfinite(score))
+    oracle = np.zeros_like(score)
+    zero_cuts = 0
+    for f, c in zip(*np.nonzero(is_cut)):
+        left = np.zeros(times.size, dtype=bool)
+        left[order[f, :c + 1]] = True
+        oracle[f, c] = logrank_score(times[left], events[left], times[~left], events[~left])
+        if _variance_is_zero(times, events, left):
+            zero_cuts += 1
+            assert keep[f, c]
+            assert score[f, c] == 0.0
+        else:
+            assert score[f, c] == pytest.approx(oracle[f, c], rel=1e-9, abs=1e-12)
+    if oracle.max() > _MIN_GAIN:
+        assert np.all(keep[oracle >= oracle.max() * (1 - 1e-12)])
+    return zero_cuts
+
+
+def test_logrank_screen_matches_oracle_random(rng):
+    for _ in range(60):
+        n = int(rng.integers(2, 50))
+        times = rng.integers(1, 9, size=n) if rng.random() < 0.5 else rng.uniform(0.5, 9.0, n)
+        events = rng.random(n) < rng.choice([0.1, 0.5, 0.9, 1.0])
+        if not events.any():
+            events[int(rng.integers(n))] = True
+        X = rng.normal(size=(n, 3))
+        X[:, 1] = np.round(X[:, 1])
+        _check_screen(times, events, X)
+
+
+def test_logrank_screen_censored_before_first_event():
+    # rows 0-3 are censored before any event: they are at risk at no event
+    # time, so every cut that moves only them has zero variance
+    times = np.array([0.5, 0.6, 0.7, 0.8, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0])
+    events = np.array([0, 0, 0, 0, 1, 1, 0, 1, 0, 1], dtype=bool)
+    X = np.column_stack([times, -times, np.arange(10) % 3])
+    assert _check_screen(times, events, X) >= 6
+
+
+def test_logrank_screen_single_event_time():
+    times = np.array([1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 5.0])
+    events = np.array([0, 1, 1, 0, 0, 0, 0], dtype=bool)
+    X = np.column_stack([np.arange(7.0), np.arange(7.0)[::-1], [3, 1, 4, 1, 5, 9, 2]])
+    _check_screen(times, events, X)
+
+
+def test_logrank_screen_left_holds_whole_risk_set():
+    # sorting by -time puts the latest rows left: once the left child holds
+    # every row at risk at the first weighted event time, the variance is 0
+    times = np.array([1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    events = np.array([0, 0, 1, 1, 0, 1, 1, 1], dtype=bool)
+    X = np.column_stack([-times, times])
+    assert _check_screen(times, events, X) == 4
+    # along -time, the left children of the first 6 and 7 rows hold every
+    # row with time >= 2.0, the first event time
+    _, _, score, keep = _screen_one(times, events, X)
+    assert keep[0, 5] and keep[0, 6]
+    assert score[0, 5] == score[0, 6] == 0.0
+
+
+# ---------------------------------------------------------------------------
 # Fitting
 # ---------------------------------------------------------------------------
 
@@ -183,6 +486,14 @@ def test_fit_thread_independent(monkeypatch):
 def test_min_split_default_by_task():
     assert ForestParams().resolve_min_split(TaskKind.BINARY) == 5
     assert ForestParams().resolve_min_split(TaskKind.SURVIVAL) == 10
+
+
+def test_negative_max_depth_rejected():
+    with pytest.raises(ValueError, match="max_depth"):
+        ForestParams(max_depth=-3)
+    ds = make_binary(40, 3, seed=2)
+    stumps = fit_forest(ds, ForestParams(n_trees=2, seed=1, max_depth=0))
+    assert [t.n_nodes for t in stumps.trees] == [1, 1]
 
 
 def test_mtry_defaults():
