@@ -121,7 +121,7 @@ def _tuning_grid(args) -> TuningGrid:
         None if v.lower() in ("none", "nopca", "no-pca") else int(v)
         for v in _split_csv_list(args.grid_d)
     )
-    ks = (args.k_fixed,) if args.k_fixed else tuple(
+    ks = (args.k_fixed,) if args.k_fixed is not None else tuple(
         int(v) for v in _split_csv_list(args.grid_k))
     return TuningGrid(taus=taus, dims=dims, ks=ks)
 

@@ -168,16 +168,24 @@ class _FoldOutcome:
     mean_rules: float | None = None
 
 
-def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
-                   plan) -> list[_FoldOutcome]:
+def _fold_setup(ds: Dataset, config: BenchmarkConfig, fold: int,
+                plan) -> tuple[Dataset, Dataset, np.ndarray, Forest]:
+    """(train, test, test_idx, forest) of one fold: targets scaled on the
+    training rows where the task wants it, the test rows capped at
+    ``config.max_test`` (``test_idx`` holds their dataset rows), and the
+    fold's forest."""
     train_idx, test_idx = plan.split(fold)
     ds_f = scale_targets(ds, train_idx) if ds.task.normalized_targets else ds
     train = ds_f.subset(train_idx)
     test_idx = _capped_test(test_idx, config.max_test, derive_seed(config.seed, 202, fold))
-    test = ds_f.subset(test_idx)
-    X_test = test.covariates
-
     forest = fit_forest(train, replace(config.params, seed=derive_seed(config.seed, 101, fold)))
+    return train, ds_f.subset(test_idx), test_idx, forest
+
+
+def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
+                   plan) -> list[_FoldOutcome]:
+    train, test, test_idx, forest = _fold_setup(ds, config, fold, plan)
+    X_test = test.covariates
 
     outcomes: list[_FoldOutcome] = []
     rf_preds = forest_predict_batch(forest, X_test)
@@ -349,15 +357,8 @@ def run_ablation(dataset: Dataset, name: str, config: BenchmarkConfig) -> list[d
     arm_k: dict[str, list[float]] = {arm: [] for arm, _ in ABLATION_ARMS}
 
     for fold in range(config.folds):
-        train_idx, test_idx = plan.split(fold)
-        ds_f = scale_targets(dataset, train_idx) if dataset.task.normalized_targets else dataset
-        train = ds_f.subset(train_idx)
-        test_idx = _capped_test(test_idx, config.max_test,
-                                derive_seed(config.seed, 202, fold))
-        test = ds_f.subset(test_idx)
+        _, test, test_idx, forest = _fold_setup(dataset, config, fold, plan)
         X_test = test.covariates
-        forest = fit_forest(train, replace(
-            config.params, seed=derive_seed(config.seed, 101, fold)))
 
         for arm_index, (arm, flags) in enumerate(ABLATION_ARMS):
 

@@ -17,15 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import TaskKind
-from .forest import Forest, PathStep, node_path, path_length, path_steps, tree_leaf_km
+from .forest import Forest, PathStep, node_path, path_length, path_steps, route, tree_leaf_km
 from .numeric import (
     Clustering,
     identity_projection,
     kmeans_pp,
-    nearest_point,
     pca_fit,
     pca_spectrum,
     pca_transform,
+    sorted_rows,
 )
 
 MODE_SIMPLE = "simple"
@@ -126,7 +126,7 @@ class _Routes:
     """One instance routed once through every tree of a forest."""
 
     x: np.ndarray
-    paths: list[list[int]]  # node ids from root to leaf, per tree
+    levels: np.ndarray  # (depth + 1, m) arena node ids, see forest.route
     preds: np.ndarray  # (m, w) leaf predictions
     y_hat: np.ndarray  # (w,) forest prediction
     order: np.ndarray  # trees by prediction proximity, stable
@@ -141,11 +141,11 @@ def _route(forest: Forest, x: np.ndarray) -> _Routes:
         raise ValueError(f"instance must have shape ({forest.p},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("instance has a non-finite value")
-    paths = [node_path(tree, x) for tree in forest.trees]
-    preds = np.vstack([tree.node_pred[path[-1]] for tree, path in zip(forest.trees, paths)])
+    levels = route(forest, x)
+    preds = forest.arena.node_pred[levels[-1]]
     y_hat = preds.mean(axis=0)
     order = np.argsort(np.linalg.norm(preds - y_hat, axis=1), kind="stable")
-    return _Routes(x=x, paths=paths, preds=preds, y_hat=y_hat, order=order)
+    return _Routes(x=x, levels=levels, preds=preds, y_hat=y_hat, order=order)
 
 
 def preselect(forest: Forest, x: np.ndarray, tau: int) -> np.ndarray:
@@ -163,16 +163,23 @@ def rule_vectors(trees, paths, mode: str, p: int) -> np.ndarray:
     np.bincount adds each covariate's terms one by one in root-to-leaf
     order, so every entry is the same float as a running sum along the path.
     """
-    if mode not in (MODE_SIMPLE, MODE_WEIGHTED):
-        raise ValueError(f"unknown vectorization mode {mode!r}")
     splits = [path[:-1] for path in paths]
     rows = np.repeat(np.arange(len(paths)), [len(s) for s in splits])
-    bins = rows * p + np.concatenate(
-        [tree.feature[s] for tree, s in zip(trees, splits)]).astype(np.intp)
-    weights = None if mode == MODE_SIMPLE else np.concatenate(
-        [tree.sample_fraction[s] for tree, s in zip(trees, splits)])
-    counts = np.bincount(bins, weights=weights, minlength=len(paths) * p)
-    return counts.reshape(len(paths), p).astype(np.float64, copy=False)
+    features = np.concatenate([tree.feature[s] for tree, s in zip(trees, splits)])
+    fractions = np.concatenate([tree.sample_fraction[s] for tree, s in zip(trees, splits)])
+    return _count_vectors(rows, features, fractions, len(paths), mode, p)
+
+
+def _count_vectors(rows: np.ndarray, features: np.ndarray, fractions: np.ndarray,
+                   n: int, mode: str, p: int) -> np.ndarray:
+    """(n, p) rule vectors from the split steps of n paths, listed path after
+    path and root to leaf within a path."""
+    if mode not in (MODE_SIMPLE, MODE_WEIGHTED):
+        raise ValueError(f"unknown vectorization mode {mode!r}")
+    bins = rows * p + features.astype(np.intp, copy=False)
+    weights = None if mode == MODE_SIMPLE else fractions
+    counts = np.bincount(bins, weights=weights, minlength=n * p)
+    return counts.reshape(n, p).astype(np.float64, copy=False)
 
 
 def vectorize(tree, x: np.ndarray, mode: str) -> RuleVector:
@@ -183,8 +190,14 @@ def vectorize(tree, x: np.ndarray, mode: str) -> RuleVector:
 
 def _selected_vectors(forest: Forest, routes: _Routes, selected: np.ndarray,
                       mode: str) -> np.ndarray:
-    return rule_vectors([forest.trees[i] for i in selected],
-                        [routes.paths[i] for i in selected], mode, forest.p)
+    """``rule_vectors`` of the selected trees' paths, gathered from the
+    routed level matrix."""
+    arena = forest.arena
+    nodes = routes.levels[:, selected].T  # one row per path, root first
+    split = arena.is_split[nodes]
+    steps = nodes[split]
+    return _count_vectors(np.nonzero(split)[0], arena.feature[steps],
+                          arena.sample_fraction[steps], selected.size, mode, forest.p)
 
 
 @dataclass(frozen=True)
@@ -198,14 +211,8 @@ class _Cell:
     fidelity: float
 
 
-def _fit_cell(routes: _Routes, selected: np.ndarray, projected: np.ndarray,
-              n_clusters: int, seed: int) -> _Cell:
-    clustering = kmeans_pp(projected, n_clusters, seed=seed)
-    representatives: list[int] = []
-    for c in range(clustering.n_clusters):
-        members = np.flatnonzero(clustering.assignments == c)
-        representatives.append(
-            int(members[nearest_point(projected[members], clustering.centroids[c])]))
+def _fit_cell(routes: _Routes, selected: np.ndarray, clustering: Clustering) -> _Cell:
+    representatives = clustering.representatives.tolist()
     weights = clustering.sizes / selected.size
     surrogate = np.zeros(routes.preds.shape[1])
     for c, local in enumerate(representatives):
@@ -223,7 +230,8 @@ def _explanation(forest: Forest, routes: _Routes, selected: np.ndarray,
         tree_idx = int(selected[local])
         rules.append(FinalRule(
             tree_index=tree_idx,
-            steps=path_steps(forest.trees[tree_idx], routes.paths[tree_idx], routes.x),
+            steps=path_steps(forest.trees[tree_idx],
+                             forest.arena.path(routes.levels, tree_idx), routes.x),
             weight=float(cell.weights[c]),
             prediction=routes.preds[tree_idx],
         ))
@@ -278,7 +286,7 @@ def explain_fixed(
     else:
         projection = pca_fit(vectors, min(dim, forest.p))
     projected = pca_transform(projection, vectors)
-    cell = _fit_cell(routes, selected, projected, n_clusters, seed)
+    cell = _fit_cell(routes, selected, kmeans_pp(projected, n_clusters, seed=seed))
     return _explanation(forest, routes, selected, projected, projection.n_components,
                         cell, n_clusters, mode)
 
@@ -299,9 +307,11 @@ def tune_and_explain(
     per-instance seed) and the cell index, so results are reproducible and
     independent of evaluation order; K=1 cells need no seed and derive none,
     but keep their index.  Every cell gives what ``explain_fixed``
-    gives at its stage sizes and seed: x is routed once, the rule vectors
-    are stacked once (each tau keeps a prefix of the proximity order), and
-    each tau has one eigendecomposition for all its projection dimensions.
+    gives at its stage sizes and seed: x is routed once through all trees,
+    the rule vectors are stacked once (each tau keeps a prefix of the
+    proximity order), each tau has one eigendecomposition for all its
+    projection dimensions, and each projected matrix is sorted once for all
+    its cluster counts.
     """
     grid = grid or TuningGrid()
     taus = (forest.n_trees,) if flags.skip_preselection else grid.taus
@@ -325,11 +335,12 @@ def tune_and_explain(
                     spectrum = pca_spectrum(vectors)
                 projection = spectrum.projection(min(dim, forest.p))
             projected = pca_transform(projection, vectors)
+            rows = sorted_rows(projected)
             effective_d = projection.n_components
             for k in grid.ks:
-                # kmeans_pp returns K=1 in closed form and never reads its seed
+                # K=1 is solved in closed form and never reads its seed
                 cell_seed = derive_seed(seed, cell_index) if k > 1 else 0
-                cell = _fit_cell(routes, selected, projected, k, cell_seed)
+                cell = _fit_cell(routes, selected, rows.kmeans(k, cell_seed))
                 cell_index += 1
                 key = (-cell.fidelity, k, effective_d, tau)
                 if best_key is None or key < best_key:

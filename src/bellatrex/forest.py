@@ -21,6 +21,10 @@ per-cut formula, so every cut whose score could reach the node's best, and
 every cut whose variance may be zero, is ranked again by the exact per-cut
 formula (integer at-risk and event counts per event time), which picks the
 split; the forest does not depend on the faster arithmetic.
+
+The explainer routes an instance through all trees at once (``route``) over
+the forest's stacked node arrays (``Forest.arena``, built on first use);
+``node_path`` is the tree-by-tree walk that it must agree with.
 """
 from __future__ import annotations
 
@@ -120,6 +124,54 @@ class PathStep:
     prediction: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class NodeArena:
+    """Every tree's nodes stacked tree after tree into one set of flat
+    arrays.  Tree i's node v is arena node ``roots[i] + v``; a leaf's
+    feature is 0 and both its children are the leaf itself, so a walk that
+    has reached a leaf stays there."""
+
+    trees: list[Tree]  # the list the arena was stacked from
+    roots: np.ndarray
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    is_split: np.ndarray
+    sample_fraction: np.ndarray
+    node_pred: np.ndarray
+
+    def path(self, levels: np.ndarray, tree: int) -> list[int]:
+        """Tree-local node ids from the root to the leaf of one tree's column
+        of ``route``'s level matrix."""
+        column = levels[:, tree]
+        length = int(np.count_nonzero(self.is_split[column])) + 1
+        return (column[:length] - self.roots[tree]).tolist()
+
+
+def stack_trees(trees: list[Tree]) -> NodeArena:
+    """The node arena of a list of trees (see ``Forest.arena``)."""
+    sizes = np.array([tree.n_nodes for tree in trees], dtype=np.intp)
+    roots = np.cumsum(sizes) - sizes
+    feature = np.concatenate([tree.feature for tree in trees]).astype(np.intp)
+    is_split = feature >= 0
+    own = np.arange(feature.size)
+    offsets = np.repeat(roots, sizes)
+    left = np.concatenate([tree.left for tree in trees]).astype(np.intp) + offsets
+    right = np.concatenate([tree.right for tree in trees]).astype(np.intp) + offsets
+    return NodeArena(
+        trees=trees,
+        roots=roots,
+        feature=np.where(is_split, feature, 0),
+        threshold=np.concatenate([tree.threshold for tree in trees]),
+        left=np.where(is_split, left, own),
+        right=np.where(is_split, right, own),
+        is_split=is_split,
+        sample_fraction=np.concatenate([tree.sample_fraction for tree in trees]),
+        node_pred=np.concatenate([tree.node_pred for tree in trees]),
+    )
+
+
 @dataclass
 class Forest:
     trees: list[Tree]
@@ -131,10 +183,21 @@ class Forest:
     mtry: int
     event_grid: np.ndarray | None = None
     covariate_names: tuple[str, ...] | None = None
+    _arena: NodeArena | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n_trees(self) -> int:
         return len(self.trees)
+
+    @property
+    def arena(self) -> NodeArena:
+        """The stacked node arena, built on first use and again after
+        ``trees`` is replaced."""
+        if self._arena is None or self._arena.trees is not self.trees:
+            # threads that race here stack the same trees into equal
+            # arenas, so whichever assignment lands last is as good
+            self._arena = stack_trees(self.trees)
+        return self._arena
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +656,21 @@ def forest_predict_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
 def all_tree_predictions(forest: Forest, x: np.ndarray) -> np.ndarray:
     """(n_trees, w) matrix of every tree's prediction for one instance."""
     return np.vstack([tree_predict(tree, x) for tree in forest.trees])
+
+
+def route(forest: Forest, x: np.ndarray) -> np.ndarray:
+    """Arena node ids that x visits in every tree, one level at a time until
+    every tree has reached its leaf: row r of the (levels, n_trees) result
+    holds each tree's node at depth r, and a tree whose leaf lies above
+    depth r repeats its leaf."""
+    arena = forest.arena
+    node = arena.roots
+    levels = [node]
+    while arena.is_split[node].any():
+        node = np.where(x[arena.feature[node]] <= arena.threshold[node],
+                        arena.left[node], arena.right[node])
+        levels.append(node)
+    return np.vstack(levels)
 
 
 def node_path(tree: Tree, x: np.ndarray) -> list[int]:

@@ -3,6 +3,14 @@
 All routines are deterministic: PCA uses a fixed sign convention, K-Means++
 draws from a seeded generator, and every argmin tie resolves to the lowest
 index.
+
+Each matrix is decomposed once (``pca_spectrum``) for every projection
+dimension and sorted once (``sorted_rows``) for every cluster count.  A
+Lloyd pass updates all centroids with one ``np.bincount`` over the sorted
+rows: each centroid is its members' sum, row after row from +0.0, divided
+by their count, which is bit for bit ``mean(axis=0)`` of the member rows
+when there are two or more columns.  numpy sums a single column pairwise,
+so one-column matrices keep ``mean(axis=0)``.
 """
 from __future__ import annotations
 
@@ -32,6 +40,7 @@ class Clustering:
     centroids: np.ndarray
     assignments: np.ndarray
     sizes: np.ndarray
+    representatives: np.ndarray  # per cluster, the row nearest its centroid
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
@@ -144,18 +153,111 @@ def _squared_distances(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.einsum("ijk,ijk->ij", diff, diff)
 
 
-def _assign_with_repair(X: np.ndarray, centroids: np.ndarray, k: int) -> np.ndarray:
-    """Nearest-centroid assignment; empty clusters are reseeded at the point
-    farthest from its own centroid until none is empty."""
-    while True:
-        d2 = _squared_distances(X, centroids)
-        assign = np.argmin(d2, axis=1)
-        sizes = np.bincount(assign, minlength=k)
-        empty = np.flatnonzero(sizes == 0)
-        if empty.size == 0:
-            return assign
-        own = d2[np.arange(X.shape[0]), assign]
-        centroids[empty[0]] = X[int(np.argmax(own))]
+def _representatives(d2: np.ndarray, assign: np.ndarray, sizes: np.ndarray,
+                     order: np.ndarray) -> np.ndarray:
+    """Per cluster, the original index of the member nearest its centroid
+    (lowest original index on distance ties), from the assignment pass's
+    (sorted rows x clusters) distance matrix."""
+    own = d2[np.arange(assign.size), assign]
+    ranked = np.lexsort((order, own, assign))
+    return order[ranked[np.cumsum(sizes) - sizes]]
+
+
+@dataclass(frozen=True)
+class SortedRows:
+    """One matrix in canonical row order: its rows lexsorted, the order that
+    sorts them and the number of distinct rows.  Every cluster count fitted
+    to the same rows shares it, and the clustering is a function of the
+    multiset of rows, invariant under input row permutation."""
+
+    rows: np.ndarray
+    order: np.ndarray
+    distinct: int
+
+    def kmeans(self, n_clusters: int, seed: int, max_iter: int = 100,
+               inertia_trace: list | None = None) -> Clustering:
+        """K-Means++ seeding (D^2 sampling) followed by Lloyd iterations until
+        the assignment reaches a fixpoint or ``max_iter`` passes.
+
+        ``n_clusters`` is clamped to the number of distinct rows, so the
+        result never has an empty cluster.  A pass that leaves a cluster
+        empty reseeds it at the row farthest from its own centroid and
+        assigns again.  Each centroid is the sum of its members in sorted
+        row order, divided by their count: what ``mean(axis=0)`` of the
+        member rows gives, bit for bit.
+        """
+        Xs, order = self.rows, self.order
+        n, d = Xs.shape
+        k = max(1, min(n_clusters, self.distinct))
+        if k == 1 and max_iter > 0 and inertia_trace is None:
+            # Lloyd's first pass puts every row in the one cluster and moves
+            # its centroid to their mean, where the second pass stops
+            centroids = Xs.mean(axis=0)[None, :]
+            assign = np.zeros(n, dtype=np.int64)
+            sizes = np.array([n], dtype=np.int64)
+            reps = _representatives(_squared_distances(Xs, centroids), assign, sizes, order)
+            return Clustering(1, centroids, assign, sizes, reps)
+        rng = np.random.default_rng(seed)
+
+        centroids = np.empty((k, d))
+        centroids[0] = Xs[int(rng.integers(n))]
+        if k > 1:
+            best_d2 = np.sum((Xs - centroids[0]) ** 2, axis=1)
+            for c in range(1, k):
+                cum = np.cumsum(best_d2 / best_d2.sum())
+                pick = int(np.searchsorted(cum, rng.random(), side="right"))
+                if pick >= n or best_d2[pick] == 0.0:
+                    pick = int(np.argmax(best_d2))
+                centroids[c] = Xs[pick]
+                best_d2 = np.minimum(best_d2, np.sum((Xs - centroids[c]) ** 2, axis=1))
+
+        row_ids = np.arange(n)
+        flat = Xs.ravel()
+        columns = np.arange(d)
+        assign = None
+        for it in range(max_iter + 1):
+            while True:
+                d2 = _squared_distances(Xs, centroids)
+                new_assign = d2.argmin(axis=1)
+                sizes = np.bincount(new_assign, minlength=k)
+                if np.count_nonzero(sizes) == k:
+                    break
+                # reseed the first empty cluster at the row farthest from
+                # its own centroid
+                own = d2[row_ids, new_assign]
+                centroids[int(sizes.argmin())] = Xs[int(own.argmax())]
+            if it == max_iter:
+                assign = new_assign
+                break
+            if inertia_trace is not None:
+                inertia_trace.append(float(d2[row_ids, new_assign].sum()))
+            if assign is not None and not np.count_nonzero(assign != new_assign):
+                break
+            assign = new_assign
+            if d == 1:
+                # numpy sums a single column pairwise, not row after row
+                centroids = np.vstack([Xs[assign == c].mean(axis=0) for c in range(k)])
+                continue
+            bins = (assign[:, None] * d + columns).ravel()
+            sums = np.bincount(bins, weights=flat, minlength=k * d)
+            centroids = sums.reshape(k, d) / sizes[:, None]
+
+        assignments = np.empty(n, dtype=np.int64)
+        assignments[order] = assign
+        return Clustering(k, centroids, assignments, sizes,
+                          _representatives(d2, assign, sizes, order))
+
+
+def sorted_rows(X: np.ndarray) -> SortedRows:
+    """The canonical form behind ``kmeans_pp(X, K)`` for every K."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ValueError("X must be a non-empty 2-D matrix")
+    order = np.lexsort(X.T[::-1])
+    Xs = X[order]
+    # equal rows are neighbours in lexicographic order
+    distinct = 1 + int(np.count_nonzero(np.any(Xs[1:] != Xs[:-1], axis=1)))
+    return SortedRows(Xs, order, distinct)
 
 
 def kmeans_pp(
@@ -165,62 +267,8 @@ def kmeans_pp(
     max_iter: int = 100,
     inertia_trace: list | None = None,
 ) -> Clustering:
-    """K-Means++ seeding (D^2 sampling) followed by Lloyd iterations until the
-    assignment reaches a fixpoint or ``max_iter`` passes.
-
-    ``n_clusters`` is clamped to the number of distinct rows, so the result
-    never has an empty cluster.
-    """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("X must be a non-empty 2-D matrix")
-    n = X.shape[0]
-    # canonical row order makes the result a function of the point multiset,
-    # invariant under input row permutation
-    order = np.lexsort(X.T[::-1])
-    Xs = X[order]
-    # equal rows are neighbours in lexicographic order
-    distinct = 1 + int(np.count_nonzero(np.any(Xs[1:] != Xs[:-1], axis=1)))
-    k = max(1, min(n_clusters, distinct))
-    if k == 1 and max_iter > 0 and inertia_trace is None:
-        # Lloyd's first pass puts every row in the one cluster and moves its
-        # centroid to their mean, where the second pass stops
-        return Clustering(n_clusters=1, centroids=Xs.mean(axis=0)[None, :],
-                          assignments=np.zeros(n, dtype=np.int64),
-                          sizes=np.array([n], dtype=np.int64))
-    rng = np.random.default_rng(seed)
-
-    centroids = np.empty((k, X.shape[1]))
-    centroids[0] = Xs[int(rng.integers(n))]
-    if k > 1:
-        best_d2 = np.sum((Xs - centroids[0]) ** 2, axis=1)
-        for c in range(1, k):
-            cum = np.cumsum(best_d2 / best_d2.sum())
-            pick = int(np.searchsorted(cum, rng.random(), side="right"))
-            if pick >= n or best_d2[pick] == 0.0:
-                pick = int(np.argmax(best_d2))
-            centroids[c] = Xs[pick]
-            best_d2 = np.minimum(best_d2, np.sum((Xs - centroids[c]) ** 2, axis=1))
-
-    assign = None
-    for _ in range(max_iter):
-        new_assign = _assign_with_repair(Xs, centroids, k)
-        if inertia_trace is not None:
-            d2 = _squared_distances(Xs, centroids)
-            inertia_trace.append(float(d2[np.arange(n), new_assign].sum()))
-        if assign is not None and np.array_equal(assign, new_assign):
-            assign = new_assign
-            break
-        assign = new_assign
-        for c in range(k):
-            centroids[c] = Xs[assign == c].mean(axis=0)
-    else:
-        assign = _assign_with_repair(Xs, centroids, k)
-
-    assignments = np.empty(n, dtype=np.int64)
-    assignments[order] = assign
-    sizes = np.bincount(assign, minlength=k)
-    return Clustering(n_clusters=k, centroids=centroids, assignments=assignments, sizes=sizes)
+    """Seeded K-Means++ of the rows of X (see ``SortedRows.kmeans``)."""
+    return sorted_rows(X).kmeans(n_clusters, seed, max_iter, inertia_trace)
 
 
 def nearest_point(X: np.ndarray, target: np.ndarray) -> int:

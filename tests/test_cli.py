@@ -117,6 +117,23 @@ def test_explain_k_fixed_overrides_grid(binary_files, tmp_path):
     assert len(doc["rules"]) == doc["chosen_k"]
 
 
+@pytest.mark.parametrize("k", [0, -2])
+def test_explain_k_fixed_below_one_is_usage_error(binary_files, tmp_path, capsys, k):
+    _, data, schema = binary_files
+    model = tmp_path / "model"
+    run(["train", "--data", data, "--schema", schema, "--trees", 10, "--out", model])
+    capsys.readouterr()
+    out = tmp_path / "expl"
+    code = run(["explain", "--data", data, "--schema", schema,
+                "--forest", model / "forest.json", "--instances", "3",
+                "--grid-tau", "5", "--k-fixed", k, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "cluster counts must be positive" in err
+    assert "Traceback" not in err
+    assert not list(out.glob("instance_*"))
+
+
 def test_explain_fold_selector(binary_files, tmp_path):
     _, data, schema = binary_files
     model = tmp_path / "model"

@@ -142,6 +142,21 @@ def test_rule_vectors_equal_running_sums():
             assert np.array_equal(stacked, expected)
 
 
+def test_routed_vectors_equal_rule_vectors():
+    import bellatrex.explain as explain_mod
+
+    ds = make_regression(150, 7, seed=3)
+    forest = fit_forest(ds, ForestParams(n_trees=12, seed=4))
+    for x in ds.covariates[:10]:
+        routes = explain_mod._route(forest, x)
+        selected = routes.order[:9]
+        paths = [node_path(forest.trees[i], x) for i in selected]
+        for mode in (MODE_SIMPLE, MODE_WEIGHTED):
+            expected = rule_vectors([forest.trees[i] for i in selected], paths, mode, forest.p)
+            routed = explain_mod._selected_vectors(forest, routes, selected, mode)
+            assert routed.tobytes() == expected.tobytes()
+
+
 # ---------------------------------------------------------------------------
 # explain_fixed
 # ---------------------------------------------------------------------------

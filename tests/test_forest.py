@@ -21,8 +21,10 @@ from bellatrex.forest import (
     forest_to_dict,
     gini,
     load_forest,
+    node_path,
     oob_errors,
     path_length,
+    route,
     save_forest,
     tree_predict,
     variance_reduction,
@@ -705,3 +707,79 @@ def test_malformed_forest_files_raise_forest_file_error(tmp_path):
     with pytest.raises(ForestFileError):
         load_forest(tmp_path / "bad.json")
     assert issubclass(ForestFileError, DataError)
+
+
+# ---------------------------------------------------------------------------
+# Stacked routing
+# ---------------------------------------------------------------------------
+
+ROUTE_DATA = {
+    "binary": lambda: make_binary(90, 5, seed=31),
+    "regression": lambda: make_regression(90, 5, seed=32),
+    "multitarget": lambda: make_multitarget(90, 5, 3, seed=33),
+    "multilabel": lambda: make_multilabel(90, 5, 3, seed=34),
+    "survival": lambda: make_survival(90, 5, seed=35),
+}
+
+
+def routed_paths(forest, x):
+    levels = route(forest, x)
+    return [forest.arena.path(levels, t) for t in range(forest.n_trees)]
+
+
+def at_thresholds(forest, x):
+    """Copies of x that sit exactly on a split threshold of each tree."""
+    out = []
+    for tree in forest.trees:
+        for node in node_path(tree, x)[:-1]:
+            y = x.copy()
+            y[tree.feature[node]] = tree.threshold[node]
+            out.append(y)
+    return out
+
+
+def assert_routes_equal_node_paths(forest, X):
+    for x in X:
+        levels = route(forest, x)
+        paths = [node_path(tree, x) for tree in forest.trees]
+        assert levels.shape == (max(map(len, paths)), forest.n_trees)
+        assert routed_paths(forest, x) == paths
+        leaves = forest.arena.node_pred[levels[-1]]
+        for tree, leaf in zip(forest.trees, leaves):
+            assert np.array_equal(leaf, tree_predict(tree, x))
+
+
+@pytest.mark.parametrize("task", sorted(ROUTE_DATA))
+def test_route_equals_node_path(task, tmp_path):
+    ds = ROUTE_DATA[task]()
+    forest = fit_forest(ds, ForestParams(n_trees=12, seed=5))
+    X = list(ds.covariates[::9])
+    X += at_thresholds(forest, ds.covariates[0])
+    assert_routes_equal_node_paths(forest, X)
+    save_forest(forest, tmp_path / "forest.json")
+    loaded = load_forest(tmp_path / "forest.json")
+    assert_routes_equal_node_paths(loaded, X)
+
+
+def test_route_single_leaf_trees():
+    ds = make_binary(60, 4, seed=3)
+    stumps = fit_forest(ds, ForestParams(n_trees=4, seed=1, max_depth=0))
+    assert route(stumps, ds.covariates[0]).shape == (1, 4)
+    assert_routes_equal_node_paths(stumps, ds.covariates[:5])
+    deep = fit_forest(ds, ForestParams(n_trees=3, seed=2))
+    mixed = make_forest([leaf_tree(0.3)] + deep.trees + [leaf_tree(0.7)], p=4)
+    assert_routes_equal_node_paths(mixed, list(ds.covariates[:8]) +
+                                   at_thresholds(mixed, ds.covariates[1]))
+
+
+def test_arena_is_built_lazily_and_follows_replaced_trees():
+    ds = make_binary(80, 4, seed=5)
+    forest = fit_forest(ds, ForestParams(n_trees=7, seed=2))
+    assert forest._arena is None  # fitting does not stack the trees
+    x = ds.covariates[3]
+    assert_routes_equal_node_paths(forest, [x])
+    arena = forest.arena
+    assert forest.arena is arena
+    forest.trees = forest.trees[::-1]
+    assert forest.arena is not arena
+    assert_routes_equal_node_paths(forest, [x])

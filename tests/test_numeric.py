@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bellatrex.numeric import (
-    _assign_with_repair,
     _complete_basis,
+    _squared_distances,
     _fix_signs,
     identity_projection,
     kmeans_pp,
@@ -11,6 +11,7 @@ from bellatrex.numeric import (
     pca_fit,
     pca_spectrum,
     pca_transform,
+    sorted_rows,
 )
 
 
@@ -191,6 +192,20 @@ def test_shared_spectrum_random_cases(rng):
 # K-Means++
 # ---------------------------------------------------------------------------
 
+def _assign_with_repair(X, centroids, k):
+    """Nearest-centroid assignment; empty clusters are reseeded at the point
+    farthest from its own centroid until none is empty."""
+    while True:
+        d2 = _squared_distances(X, centroids)
+        assign = np.argmin(d2, axis=1)
+        sizes = np.bincount(assign, minlength=k)
+        empty = np.flatnonzero(sizes == 0)
+        if empty.size == 0:
+            return assign
+        own = d2[np.arange(X.shape[0]), assign]
+        centroids[empty[0]] = X[int(np.argmax(own))]
+
+
 def reference_kmeans(X, n_clusters, seed, max_iter=100):
     """K-Means++ and Lloyd without shortcuts: distinct rows counted with
     np.unique, and Lloyd iterations run for K = 1 as for any K."""
@@ -227,13 +242,30 @@ def reference_kmeans(X, n_clusters, seed, max_iter=100):
     return k, centroids, assignments, np.bincount(assign, minlength=k)
 
 
+def reference_representatives(X, clustering):
+    """Per cluster, the member nearest its centroid, found by nearest_point
+    over the members in row order (lowest row on ties)."""
+    reps = []
+    for c in range(clustering.n_clusters):
+        members = np.flatnonzero(clustering.assignments == c)
+        reps.append(int(members[nearest_point(X[members], clustering.centroids[c])]))
+    return reps
+
+
+def assert_bitwise(got, expected):
+    # np.array_equal treats -0.0 and 0.0 as equal; the bytes do not
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    assert got.tobytes() == expected.tobytes()
+
+
 def assert_matches_reference(X, n_clusters, seed, max_iter=100):
     got = kmeans_pp(X, n_clusters, seed=seed, max_iter=max_iter)
     k, centroids, assignments, sizes = reference_kmeans(X, n_clusters, seed, max_iter)
     assert got.n_clusters == k
-    assert np.array_equal(got.centroids, centroids)
-    assert np.array_equal(got.assignments, assignments)
-    assert np.array_equal(got.sizes, sizes)
+    assert_bitwise(got.centroids, centroids)
+    assert_bitwise(got.assignments, assignments)
+    assert_bitwise(got.sizes, sizes)
+    assert got.representatives.tolist() == reference_representatives(np.asarray(X), got)
     return got
 
 
@@ -264,6 +296,81 @@ def test_kmeans_signed_zero_rows_count_as_equal():
         for seed in range(4):
             got = assert_matches_reference(X, k, seed)
             assert got.n_clusters == min(k, 2)
+
+@pytest.mark.parametrize("width", [1, 2, 5, 24])
+def test_kmeans_bitwise_equals_reference(rng, width):
+    for trial in range(12):
+        n = int(rng.integers(1, 90))
+        X = rng.normal(size=(n, width))
+        if trial % 3 == 1:
+            X = X[rng.integers(0, max(1, n // 4), size=n)]  # duplicate rows
+        if trial % 3 == 2:
+            X = np.round(X)  # ties in distances and -0.0 entries
+        for k in (1, 2, 3, 5):
+            assert_matches_reference(X, k, seed=trial)
+            assert_matches_reference(X, k, seed=trial, max_iter=0)
+            assert_matches_reference(X, k, seed=trial, max_iter=1)
+
+
+@pytest.mark.parametrize("width", [1, 2, 5, 24])
+def test_kmeans_long_sums_bitwise(rng, width):
+    # a few hundred rows per cluster: centroid sums run far past any
+    # unrolled or pairwise block
+    X = rng.normal(size=(600, width)) * rng.uniform(0.01, 100.0, size=width)
+    for k in (2, 3):
+        assert_matches_reference(X, k, seed=k)
+
+
+def all_negative_zero_columns(X, clustering):
+    """Number of (cluster, column) pairs whose member entries are all -0.0."""
+    negative = (X == 0.0) & np.signbit(X)
+    return sum(int(negative[clustering.assignments == c].all(axis=0).sum())
+               for c in range(clustering.n_clusters))
+
+
+def test_kmeans_negative_zero_columns_bitwise():
+    # clusters whose members hold only -0.0 in a column: the centroid sums
+    # start from +0.0, as numpy's mean does, so the bytes agree
+    X = np.array([[-0.0, 1.0], [-0.0, 2.0], [9.0, -0.0], [8.0, -0.0], [0.0, 1.5]])
+    for seed in range(6):
+        got = assert_matches_reference(X, 2, seed)
+        assert all_negative_zero_columns(X, got) > 0
+    for width in (2, 5):
+        Z = np.zeros((7, width))
+        Z[[1, 2, 4]] = -0.0
+        Z[5:, 0] = 3.0
+        for k in (1, 2, 3):
+            assert_matches_reference(Z, k, seed=k)
+
+
+def test_kmeans_empty_cluster_repair(monkeypatch):
+    X = np.array([[-0.0, 2.0], [0.0, 0.0], [4.0, -0.0], [1.0, -3.0],
+                  [-0.0, -3.0], [-0.0, 1.0], [0.0, 2.0], [5.0, 1.0]])
+    repairs = []
+    assign = _assign_with_repair
+
+    def counted(Xs, centroids, k):
+        d2 = _squared_distances(Xs, centroids)
+        repairs.append(np.bincount(np.argmin(d2, axis=1), minlength=k).min() == 0)
+        return assign(Xs, centroids, k)
+
+    monkeypatch.setitem(globals(), "_assign_with_repair", counted)
+    assert_matches_reference(X, 4, seed=175)
+    assert any(repairs)  # a Lloyd pass left a cluster empty
+
+
+def test_sorted_rows_shared_by_every_cluster_count(rng):
+    X = np.round(rng.normal(size=(40, 3)), 1)
+    rows = sorted_rows(X)
+    before = rows.rows.copy()
+    for k in (3, 1, 2, 3):
+        shared = rows.kmeans(k, seed=k)
+        fresh = kmeans_pp(X, k, seed=k)
+        for name in ("centroids", "assignments", "sizes", "representatives"):
+            assert_bitwise(getattr(shared, name), getattr(fresh, name))
+    assert_bitwise(rows.rows, before)
+    assert rows.distinct == np.unique(X, axis=0).shape[0]
+
 
 def test_kmeans_single_cluster_is_mean(rng):
     X = rng.normal(size=(20, 3))
