@@ -175,6 +175,8 @@ def cmd_explain(args) -> None:
             f"forest task {forest.task.value} does not match data task {ds.task.value}")
     if forest.covariate_names and tuple(forest.covariate_names) != ds.covariate_names:
         raise SchemaError("forest and dataset covariate schemas do not match")
+    if forest.p != ds.p:
+        raise SchemaError(f"forest has {forest.p} covariates, the data has {ds.p}")
     grid = _tuning_grid(args)
     grid.validate(forest.n_trees)
     flags = AblationFlags(skip_preselection=args.no_preselect,

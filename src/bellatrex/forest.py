@@ -13,14 +13,23 @@ seeded by (seed, i), independent of thread count.
 Split search is one pass per node over all candidate covariates: one
 argsort along each candidate, non-cuts (equal neighbours) masked, and 2-D
 prefix sums.  Gini and variance gains come straight from the prefix sums.
-The log-rank statistic is screened first: with the node's Nelson-Aalen
-hazard H, a left child's O - E is the prefix sum of delta_i - H(t_i), and
-its variance is sum W(t_i) - sum_{i,j} A(min(t_i, t_j)) over the child's
-rows (see ``_logrank_screen``).  Those sums round differently from the
-per-cut formula, so every cut whose score could reach the node's best, and
-every cut whose variance may be zero, is ranked again by the exact per-cut
-formula (integer at-risk and event counts per event time), which picks the
-split; the forest does not depend on the faster arithmetic.
+
+A survival node builds its event table once (``_event_tables``: each row's
+event-time rank, the at-risk and event counts and the Nelson-Aalen hazard
+at the node's distinct event times).  The node's risk score, its purity
+test, its split search and, at a leaf, its Kaplan-Meier curve all read that
+table; the score and the curve are bit for bit ``survival.risk_score`` and
+``survival.kaplan_meier`` of the node's rows.  The exact per-cut log-rank
+formula (integer at-risk and event counts per event time) picks every
+split.  On a node whose exact table of all cuts is small
+(``_EXACT_CELLS``) it scores every cut.  A larger node is screened first:
+with the node's hazard H, a left child's O - E is the prefix sum of
+delta_i - H(t_i), and its variance is sum W(t_i) - sum_{i,j} A(min(t_i,
+t_j)) over the child's rows (see ``_logrank_screen``).  Those sums round
+differently from the per-cut formula, so every cut whose score could reach
+the node's best is ranked again by the exact formula, except the cuts that
+an integer test proves to have zero variance (``_zero_variance_cuts``),
+which score 0.  The forest does not depend on the faster arithmetic.
 
 The explainer routes an instance through all trees at once (``route``) over
 the forest's stacked node arrays (``Forest.arena``, built on first use);
@@ -32,6 +41,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -39,7 +49,7 @@ from ._parallel import parallel_map
 from .data import Dataset, TaskKind
 from .errors import ForestFileError, UndefinedMetricError
 from .metrics import auroc, mae, weighted_auroc
-from .survival import StepFunction, concordance_index, kaplan_meier, risk_score
+from .survival import StepFunction, concordance_index, product_limit
 
 _MIN_GAIN = 1e-12
 
@@ -191,8 +201,8 @@ class Forest:
 
     @property
     def arena(self) -> NodeArena:
-        """The stacked node arena, built on first use and again after
-        ``trees`` is replaced."""
+        """The stacked node arena, built on first use (a loaded forest's on
+        load, by its validation) and again after ``trees`` is replaced."""
         if self._arena is None or self._arena.trees is not self.trees:
             # threads that race here stack the same trees into equal
             # arenas, so whichever assignment lands last is as good
@@ -236,6 +246,7 @@ def best_split(
     task: TaskKind,
     rows: np.ndarray,
     candidates: np.ndarray,
+    table: EventTable | None = None,
 ) -> tuple[int, float, float] | None:
     """Best (covariate, threshold, score) over the candidate covariates, or
     None when no candidate separates the rows with positive gain.
@@ -243,7 +254,8 @@ def best_split(
     One pass per node: the rows are sorted along every candidate at once,
     and positions where the next sorted value is equal are masked as
     non-cuts.  The best cut is the first maximum in (covariate, position)
-    order.
+    order.  A survival node's ``table`` (see ``_event_tables``) is built
+    here unless the caller passes it.
     """
     rows = np.asarray(rows)
     if rows.size < 2:
@@ -255,11 +267,13 @@ def best_split(
     is_cut = sv[:, :-1] < sv[:, 1:]
     if not is_cut.any():
         return None
-    sub_y = Y[rows]
     if task is TaskKind.SURVIVAL:
-        found = _logrank_best(order, is_cut, sub_y[:, 0], sub_y[:, 1] > 0.5)
+        if table is None:
+            sub_y = Y[rows]
+            table = _event_tables(sub_y[:, 0], sub_y[:, 1] > 0.5)
+        found = _logrank_best(order, is_cut, table)
     else:
-        found = _impurity_best(order, is_cut, sub_y, regression=not task.classification_like)
+        found = _impurity_best(order, is_cut, Y[rows], regression=not task.classification_like)
     if found is None:
         return None
     f, c, score = found
@@ -308,20 +322,50 @@ def _impurity_best(order: np.ndarray, is_cut: np.ndarray, y: np.ndarray, regress
     return int(f), int(c), float(gain[f, c])
 
 
-def _event_tables(times: np.ndarray, events: np.ndarray):
-    """Each row's event-time rank (the number of the node's distinct event
-    times <= its time, so row i is at risk at the g-th event time iff
-    g <= rank) and the at-risk and event counts per event time."""
+class EventTable(NamedTuple):
+    """A survival node's event table, built once per node by
+    ``_event_tables``; the node's risk score, purity test, split search and
+    leaf curve all read it."""
+
+    times: np.ndarray
+    events: np.ndarray  # bool
+    ranks: np.ndarray  # each row's count of the node's event times <= its time
+    grid: np.ndarray  # the node's distinct event times
+    n_risk: np.ndarray  # rows at risk at each event time (float)
+    n_events: np.ndarray  # events at each event time (float)
+    hazard: np.ndarray  # 0, then the Nelson-Aalen hazard at each event time
+
+    @property
+    def pure(self) -> bool:
+        """No events (the hazard cannot be split further), or every row an
+        event at one time (all rows equal)."""
+        return self.grid.size == 0 or self.n_events[0] == self.events.size
+
+    def risk_score(self, event_grid: np.ndarray) -> float:
+        """``survival.risk_score`` of the node's rows, bit for bit: the same
+        hazard array gathered at the same indices and summed."""
+        return float(np.sum(self.hazard[np.searchsorted(self.grid, event_grid, side="right")]))
+
+    def kaplan_meier(self) -> StepFunction:
+        """``survival.kaplan_meier`` of the node's rows, from these counts."""
+        return product_limit(self.grid, self.n_events, self.n_risk)
+
+
+def _event_tables(times: np.ndarray, events: np.ndarray) -> EventTable:
+    """The event table of a node's rows.  A row's rank is the number of the
+    node's distinct event times <= its time, so row i is at risk at the g-th
+    event time iff g <= rank."""
     grid = np.unique(times[events])
     ranks = np.searchsorted(grid, times, side="right")
     per_rank = np.bincount(ranks, minlength=grid.size + 1)
     n_risk = np.cumsum(per_rank[::-1])[::-1][1:].astype(np.float64)
     n_events = np.bincount(ranks[events], minlength=grid.size + 1)[1:].astype(np.float64)
-    return ranks, n_risk, n_events
+    hazard = np.concatenate(([0.0], np.cumsum(n_events / n_risk)))
+    return EventTable(times, events, ranks, grid, n_risk, n_events, hazard)
 
 
-def _logrank_screen(ranks: np.ndarray, events: np.ndarray, n_risk: np.ndarray,
-                    n_events: np.ndarray, is_cut: np.ndarray):
+def _logrank_screen(ranks: np.ndarray, events: np.ndarray, table: EventTable,
+                    is_cut: np.ndarray):
     """Screening log-rank statistic at every position, and the mask of the
     cuts whose exact score could reach the node's best.
 
@@ -344,10 +388,10 @@ def _logrank_screen(ranks: np.ndarray, events: np.ndarray, n_risk: np.ndarray,
     scores 0 here and is always kept.
     """
     m, n = ranks.shape
+    n_risk, n_events, hazard = table.n_risk, table.n_events, table.hazard
     G = n_risk.size
     with np.errstate(divide="ignore", invalid="ignore"):
         weight = np.where(n_risk > 1, n_events * (n_risk - n_events) / (n_risk - 1.0), 0.0)
-    hazard = np.concatenate(([0.0], np.cumsum(n_events / n_risk)))
     linear = np.concatenate(([0.0], np.cumsum(weight / n_risk)))
     pair_weight = np.concatenate(([0.0], weight / (n_risk * n_risk)))
     quad = np.cumsum(pair_weight)
@@ -389,12 +433,13 @@ def _logrank_screen(ranks: np.ndarray, events: np.ndarray, n_risk: np.ndarray,
     return score, keep
 
 
-def _logrank_exact(ranks: np.ndarray, events: np.ndarray, n_risk: np.ndarray,
-                   n_events: np.ndarray, feat: np.ndarray, pos: np.ndarray) -> np.ndarray:
+def _logrank_exact(ranks: np.ndarray, events: np.ndarray, table: EventTable,
+                   feat: np.ndarray, pos: np.ndarray) -> np.ndarray:
     """|log-rank statistic| of the cuts (feat, pos), listed in (candidate,
     position) order, by the per-cut formula: integer left-child at-risk and
     event counts per event time, then one row of terms per cut."""
     m, n = ranks.shape
+    n_risk, n_events = table.n_risk, table.n_events
     G = n_risk.size
     k = feat.size
     # each row counts toward the first listed cut of its candidate at or
@@ -425,19 +470,46 @@ def _logrank_exact(ranks: np.ndarray, events: np.ndarray, n_risk: np.ndarray,
     return np.where(variance > 0, np.abs(observed_minus_expected) / np.sqrt(np.maximum(variance, 1e-300)), 0.0)
 
 
-def _logrank_best(order: np.ndarray, is_cut: np.ndarray, times: np.ndarray, events: np.ndarray):
-    """(candidate, position, score) of the best log-rank cut: screened by
-    prefix sums, then the kept cuts ranked by the exact per-cut formula."""
-    if not events.any():
+def _zero_variance_cuts(ranks: np.ndarray, table: EventTable) -> np.ndarray:
+    """Mask of the positions of (m, n) sorted ``ranks`` whose cut has zero
+    log-rank variance, by an integer test.  The variance terms vanish before
+    the first event time g with weight w_g > 0 (n_g > d_g), and from g on
+    every risk set is inside the one at g; so the variance is zero exactly
+    when the left or the right child has no row at risk at g (the prefix or
+    the suffix maximum of the ranks is below g), that is when the left child
+    holds none or all of the n_g rows at risk at g."""
+    weighted = np.flatnonzero(table.n_events < table.n_risk)
+    if weighted.size == 0:
+        return np.ones((ranks.shape[0], ranks.shape[1] - 1), dtype=bool)
+    left_at_risk = np.cumsum(ranks > weighted[0], axis=1)[:, :-1]
+    return (left_at_risk == 0) | (left_at_risk == table.n_risk[weighted[0]])
+
+
+# Largest exact table (cuts x (G + 1) cells, G event times) that
+# ``_logrank_best`` scores without screening first: below it the screen's
+# fixed cost, about 30 numpy calls, exceeds what it saves the exact formula.
+# Train-survival forests (n = 2000) fit equally fast with 4,096 or 16,384
+# cells and slower with 65,536.
+_EXACT_CELLS = 16384
+
+
+def _logrank_best(order: np.ndarray, is_cut: np.ndarray, table: EventTable):
+    """(candidate, position, score) of the best log-rank cut, ranked by the
+    exact per-cut formula.  A node whose exact table would exceed
+    ``_EXACT_CELLS`` is screened by prefix sums first; the exact formula
+    then ranks the kept cuts, less those of zero variance, which score 0."""
+    if table.grid.size == 0:
         return None
-    ranks, n_risk, n_events = _event_tables(times, events)
-    sorted_ranks = ranks[order]
-    sorted_events = events[order]
-    _, keep = _logrank_screen(sorted_ranks, sorted_events, n_risk, n_events, is_cut)
-    feat, pos = np.nonzero(keep)
-    if feat.size == 0:
-        return None
-    score = _logrank_exact(sorted_ranks, sorted_events, n_risk, n_events, feat, pos)
+    sorted_ranks = table.ranks[order]
+    sorted_events = table.events[order]
+    feat, pos = np.nonzero(is_cut)
+    if feat.size * (table.grid.size + 1) > _EXACT_CELLS:
+        _, keep = _logrank_screen(sorted_ranks, sorted_events, table, is_cut)
+        keep &= ~_zero_variance_cuts(sorted_ranks, table)
+        feat, pos = np.nonzero(keep)
+        if feat.size == 0:
+            return None
+    score = _logrank_exact(sorted_ranks, sorted_events, table, feat, pos)
     best = int(np.argmax(score))
     return int(feat[best]), int(pos[best]), float(score[best])
 
@@ -445,20 +517,6 @@ def _logrank_best(order: np.ndarray, is_cut: np.ndarray, times: np.ndarray, even
 # ---------------------------------------------------------------------------
 # Tree growing
 # ---------------------------------------------------------------------------
-
-def _node_value(task: TaskKind, Y_rows: np.ndarray, event_grid: np.ndarray | None) -> np.ndarray:
-    if task is TaskKind.SURVIVAL:
-        return np.array(
-            [risk_score(Y_rows[:, 0], Y_rows[:, 1] > 0.5, event_grid)]
-        )
-    return Y_rows.mean(axis=0)
-
-
-def _is_pure(task: TaskKind, Y_rows: np.ndarray) -> bool:
-    if task is TaskKind.SURVIVAL and not np.any(Y_rows[:, 1] > 0.5):
-        return True  # no events: the hazard cannot be split further
-    return bool(np.all(Y_rows == Y_rows[0]))
-
 
 def _grow_tree(
     X: np.ndarray,
@@ -500,27 +558,32 @@ def _grow_tree(
         count[nid] = rows.size
         fraction[nid] = rows.size / n_sample
         y_rows = Y[rows]
-        preds[nid] = _node_value(task, y_rows, event_grid)
+        table = None
+        if task is TaskKind.SURVIVAL:
+            table = _event_tables(y_rows[:, 0], y_rows[:, 1] > 0.5)
+            preds[nid] = np.array([table.risk_score(event_grid)])
+        else:
+            preds[nid] = y_rows.mean(axis=0)
 
         split = None
         can_split = (
             rows.size >= min_split
             and (max_depth is None or depth < max_depth)
-            and not _is_pure(task, y_rows)
+            and not (table.pure if table is not None else np.all(y_rows == y_rows[0]))
         )
         if can_split:
             if mtry < p:
                 cand = np.sort(rng.choice(p, size=mtry, replace=False))
             else:
                 cand = all_features
-            split = best_split(X, Y, task, rows, cand)
+            split = best_split(X, Y, task, rows, cand, table)
             if split is None and mtry < p:
                 rest = np.setdiff1d(all_features, cand)
                 if rest.size:
-                    split = best_split(X, Y, task, rows, rest)
+                    split = best_split(X, Y, task, rows, rest, table)
         if split is None:
-            if task is TaskKind.SURVIVAL:
-                leaf_km[nid] = kaplan_meier(y_rows[:, 0], y_rows[:, 1] > 0.5)
+            if table is not None:
+                leaf_km[nid] = table.kaplan_meier()
             continue
         j, theta, _ = split
         go_left = X[rows, j] <= theta
@@ -846,7 +909,7 @@ def _forest_from_dict(data: dict) -> Forest:
         ))
     params = ForestParams(**data["params"])
     event_grid = data["event_grid"]
-    return Forest(
+    forest = Forest(
         trees=trees,
         task=task,
         p=int(data["p"]),
@@ -857,6 +920,58 @@ def _forest_from_dict(data: dict) -> Forest:
         event_grid=np.array(event_grid, dtype=np.float64) if event_grid is not None else None,
         covariate_names=tuple(data["covariate_names"]) if data["covariate_names"] else None,
     )
+    _check_forest(forest)
+    return forest
+
+
+def _check_forest(forest: Forest) -> None:
+    """Raise ValueError unless every tree is a tree over the forest's p
+    covariates: its arrays agree in length, node_pred is (nodes,
+    prediction_width), split features lie in [0, p), leaves (feature -1)
+    have children -1 and every ``leaf_km`` key is a leaf, and the split
+    nodes' children are every node but the root once each and reach back to
+    it, so that routing ends at a leaf."""
+    p = forest.p
+    if not forest.trees:
+        raise ValueError("the forest has no trees")
+    if forest.covariate_names is not None and len(forest.covariate_names) != p:
+        raise ValueError(f"p={p} but {len(forest.covariate_names)} covariate names")
+    for i, tree in enumerate(forest.trees):
+        n = tree.n_nodes
+        for name in ("threshold", "left", "right", "sample_fraction", "sample_count"):
+            if getattr(tree, name).shape != (n,):
+                raise ValueError(f"tree {i}: {name} has shape {getattr(tree, name).shape},"
+                                 f" feature has {n} nodes")
+        if tree.node_pred.shape != (n, forest.prediction_width):
+            raise ValueError(f"tree {i}: node_pred has shape {tree.node_pred.shape},"
+                             f" expected ({n}, {forest.prediction_width})")
+        if n == 0 or tree.feature.min() < -1 or tree.feature.max() >= p:
+            raise ValueError(f"tree {i}: a split feature lies outside [0, {p})")
+        split = tree.feature >= 0
+        if np.any(tree.left[~split] != -1) or np.any(tree.right[~split] != -1):
+            raise ValueError(f"tree {i}: a leaf has children")
+        if any(not 0 <= node < n or split[node] for node in tree.leaf_km):
+            raise ValueError(f"tree {i}: a leaf_km key is not a leaf")
+        children = np.concatenate([tree.left[split], tree.right[split]])
+        if children.size and (children.min() < 0 or children.max() >= n):
+            raise ValueError(f"tree {i}: a child index lies outside [0, {n})")
+        parents = np.bincount(children, minlength=n)
+        if parents[0] != 0 or np.any(parents[1:] != 1):
+            raise ValueError(f"tree {i}: not a tree: the root must be no node's child"
+                             " and every other node the child of one split node")
+    # With one parent per non-root node, a walk from the roots meets each
+    # node at most once; the nodes it misses form cycles off the root.
+    arena = stack_trees(forest.trees)
+    reached = np.zeros(arena.is_split.size, dtype=bool)
+    frontier = arena.roots
+    while frontier.size:
+        reached[frontier] = True
+        frontier = frontier[arena.is_split[frontier]]
+        frontier = np.concatenate([arena.left[frontier], arena.right[frontier]])
+    if not reached.all():
+        tree = int(np.searchsorted(arena.roots, np.argmin(reached), side="right")) - 1
+        raise ValueError(f"tree {tree}: a cycle of nodes is cut off from the root")
+    forest._arena = arena
 
 
 def save_forest(forest: Forest, path: str | Path) -> None:

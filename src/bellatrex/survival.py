@@ -58,15 +58,18 @@ def kaplan_meier(times: np.ndarray, events: np.ndarray) -> StepFunction:
     per step, so e.g. with zero censoring the curve equals the empirical
     survival function bit-for-bit.
     """
-    grid, d, n = _event_table(times, events)
-    if grid.size == 0:
-        return StepFunction(times=grid, values=np.array([]), baseline=1.0)
+    return product_limit(*_event_table(times, events))
+
+
+def product_limit(grid: np.ndarray, d: np.ndarray, n: np.ndarray) -> StepFunction:
+    """Kaplan-Meier curve from an event table: the distinct event times with
+    their event counts d and at-risk counts n (see ``kaplan_meier``)."""
     numerator = 1
     denominator = 1
     values = np.empty(grid.size)
-    for i in range(grid.size):
-        numerator *= int(n[i]) - int(d[i])
-        denominator *= int(n[i])
+    for i, (d_i, n_i) in enumerate(zip(d.tolist(), n.tolist())):
+        numerator *= int(n_i) - int(d_i)
+        denominator *= int(n_i)
         values[i] = numerator / denominator
     return StepFunction(times=grid, values=values, baseline=1.0)
 

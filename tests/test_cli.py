@@ -1,8 +1,12 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import bellatrex
 from bellatrex.cli import main
 from bellatrex.forest import load_forest
 from bellatrex.synthdata import (
@@ -214,6 +218,131 @@ def test_explain_forest_missing_key_is_data_error(binary_files, tmp_path, capsys
     path.write_text(json.dumps(doc))
     code = explain_with_forest(binary_files, tmp_path, path)
     assert_data_error_without_traceback(code, capsys)
+
+
+def run_process(args, timeout=60):
+    """The CLI in a child process, under a timeout: (exit code, stderr)."""
+    src = str(Path(bellatrex.__file__).resolve().parents[1])
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    proc = subprocess.run([sys.executable, "-m", "bellatrex.cli", *map(str, args)],
+                          capture_output=True, text=True, timeout=timeout, env=env)
+    return proc.returncode, proc.stderr
+
+
+def _split_nodes(tree):
+    return [v for v, j in enumerate(tree["feature"]) if j >= 0]
+
+
+def _threshold_short(doc):
+    doc["trees"][1]["threshold"].pop()
+
+
+def _node_pred_truncated(doc):
+    for tree in doc["trees"]:
+        tree["node_pred"] = tree["node_pred"][: len(tree["node_pred"]) // 2]
+
+
+def _feature_out_of_range(doc):
+    doc["trees"][-1]["feature"][0] = 5  # the forest has p = 5
+
+
+def _child_out_of_range(doc):
+    doc["trees"][-1]["left"][0] = doc["trees"][-1]["right"][0] = 10 ** 6
+
+
+def _child_is_own_node(doc):
+    for tree in doc["trees"]:
+        tree["left"][0] = tree["right"][0] = 0
+
+
+def _leaf_with_children(doc):
+    tree = doc["trees"][0]
+    leaf = tree["feature"].index(-1)
+    tree["left"][leaf] = tree["right"][leaf] = 0
+
+
+def _cycle_cut_off_from_root(doc):
+    # a non-root split node a under s hands its left child to s and becomes
+    # its own left child: every node keeps one parent, but a and its right
+    # subtree are no longer reachable from the root
+    tree = doc["trees"][0]
+    a = next(v for v in _split_nodes(tree) if v > 0)
+    s = next(v for v in _split_nodes(tree) if a in (tree["left"][v], tree["right"][v]))
+    side = "left" if tree["left"][s] == a else "right"
+    tree[side][s] = tree["left"][a]
+    tree["left"][a] = a
+
+
+def _p_differs_from_names(doc):
+    doc["p"] = 6
+
+
+# each corrupts the forest.json of a 5-tree binary forest over 5 covariates
+FOREST_FAULTS = {
+    "array-lengths-disagree": _threshold_short,
+    "node-pred-truncated": _node_pred_truncated,
+    "split-feature-out-of-range": _feature_out_of_range,
+    "child-out-of-range": _child_out_of_range,
+    "child-is-own-node": _child_is_own_node,
+    "leaf-with-children": _leaf_with_children,
+    "cycle-cut-off-from-root": _cycle_cut_off_from_root,
+    "p-differs-from-names": _p_differs_from_names,
+}
+
+
+@pytest.mark.parametrize("fault", sorted(FOREST_FAULTS))
+def test_explain_malformed_forest_is_data_error(binary_files, tmp_path, fault):
+    path = trained_model(binary_files, tmp_path)
+    doc = json.loads(path.read_text())
+    FOREST_FAULTS[fault](doc)
+    path.write_text(json.dumps(doc))
+    _, data, schema = binary_files
+    code, err = run_process(["explain", "--data", data, "--schema", schema,
+                             "--forest", path, "--instances", "0,1,2,3",
+                             "--grid-tau", "5", "--grid-k", "1", "--out", tmp_path / "x"])
+    assert code == 3, err
+    assert "data error: malformed serialized forest" in err
+    assert "Traceback" not in err
+
+
+def test_explain_leaf_km_key_not_a_leaf_is_data_error(survival_files, tmp_path):
+    _, data, schema = survival_files
+    model = tmp_path / "model"
+    assert run(["train", "--data", data, "--schema", schema, "--trees", 5,
+                "--out", model]) == 0
+    path = model / "forest.json"
+    doc = json.loads(path.read_text())
+    tree = doc["trees"][0]
+    assert tree["feature"][0] >= 0
+    tree["leaf_km"]["0"] = next(iter(tree["leaf_km"].values()))
+    path.write_text(json.dumps(doc))
+    code, err = run_process(["explain", "--data", data, "--schema", schema,
+                             "--forest", path, "--instances", "0",
+                             "--grid-tau", "5", "--grid-k", "1", "--out", tmp_path / "x"])
+    assert code == 3, err
+    assert "leaf_km" in err and "Traceback" not in err
+
+
+def test_explain_covariate_count_mismatch_is_data_error(binary_files, tmp_path, capsys):
+    # without covariate names in the file, only p tells the schemas apart
+    path = trained_model(binary_files, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["covariate_names"] = None
+    path.write_text(json.dumps(doc))
+    other = make_binary(50, 7, seed=9)
+    other_csv = tmp_path / "other.csv"
+    other_schema = tmp_path / "other_schema.txt"
+    write_csv(other, other_csv)
+    write_schema(other, other_schema)
+    capsys.readouterr()
+    code = run(["explain", "--data", other_csv, "--schema", other_schema,
+                "--forest", path, "--instances", "0", "--grid-tau", "5",
+                "--out", tmp_path / "x"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "forest has 5 covariates, the data has 7" in err
+    assert not list((tmp_path / "x").glob("instance_*"))
 
 
 def test_explain_modes_differ_in_vectors(binary_files, tmp_path):

@@ -11,7 +11,9 @@ from bellatrex.forest import (
     _MIN_GAIN,
     ForestParams,
     _event_tables,
+    _logrank_exact,
     _logrank_screen,
+    _zero_variance_cuts,
     apply,
     best_split,
     decision_path,
@@ -29,7 +31,7 @@ from bellatrex.forest import (
     tree_predict,
     variance_reduction,
 )
-from bellatrex.survival import logrank_score
+from bellatrex.survival import kaplan_meier, logrank_score, risk_score
 from bellatrex.synthdata import (
     make_binary,
     make_multilabel,
@@ -237,9 +239,10 @@ def _scan_logrank(values, times, events):
     return threshold, float(score[best])
 
 
-def reference_best_split(X, Y, task, rows, candidates):
+def reference_best_split(X, Y, task, rows, candidates, table=None):
     """One scan per candidate covariate; strict improvement keeps the lowest
-    covariate index on ties."""
+    covariate index on ties.  A survival node's event table, which the
+    grower passes in, is ignored: the scan builds its own."""
     rows = np.asarray(rows)
     if rows.size < 2:
         return None
@@ -370,8 +373,8 @@ def _screen_one(times, events, X):
     order = np.argsort(X.T, axis=1, kind="stable")
     sv = np.sort(X.T, axis=1)
     is_cut = sv[:, :-1] < sv[:, 1:]
-    ranks, n_risk, n_events = _event_tables(times, events)
-    score, keep = _logrank_screen(ranks[order], events[order], n_risk, n_events, is_cut)
+    table = _event_tables(times, events)
+    score, keep = _logrank_screen(table.ranks[order], events[order], table, is_cut)
     return order, is_cut, score, keep
 
 
@@ -440,6 +443,124 @@ def test_logrank_screen_left_holds_whole_risk_set():
     _, _, score, keep = _screen_one(times, events, X)
     assert keep[0, 5] and keep[0, 6]
     assert score[0, 5] == score[0, 6] == 0.0
+
+
+def test_zero_variance_cuts_match_oracle(rng):
+    # the integer test flags exactly the cuts whose variance terms all vanish
+    cases = [
+        ([0.5, 0.6, 0.7, 0.8, 2.0, 3.0, 3.0, 4.0, 5.0, 6.0], [0, 0, 0, 0, 1, 1, 0, 1, 0, 1]),
+        ([1.0, 2.0, 2.0, 2.0, 3.0, 4.0, 5.0], [0, 1, 1, 0, 0, 0, 0]),
+        ([1.0, 1.5, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], [0, 0, 1, 1, 0, 1, 1, 1]),
+        ([2.0, 2.0, 2.0, 5.0], [1, 1, 1, 1]),  # no event time has weight
+        ([1.0, 2.0, 3.0], [0, 0, 0]),
+    ]
+    for _ in range(80):
+        n = int(rng.integers(2, 40))
+        times = rng.integers(1, 7, size=n) if rng.random() < 0.5 else rng.uniform(0.5, 9.0, n)
+        cases.append((times, rng.random(n) < rng.choice([0.0, 0.2, 0.6, 1.0])))
+    flagged = 0
+    for times, events in cases:
+        times = np.asarray(times, dtype=np.float64)
+        events = np.asarray(events, dtype=bool)
+        X = np.column_stack([times, -times, rng.normal(size=times.size)])
+        order = np.argsort(X.T, axis=1, kind="stable")
+        table = _event_tables(times, events)
+        zero = _zero_variance_cuts(table.ranks[order], table)
+        assert zero.shape == (3, times.size - 1)
+        for f, c in np.ndindex(*zero.shape):
+            left = np.zeros(times.size, dtype=bool)
+            left[order[f, :c + 1]] = True
+            assert zero[f, c] == _variance_is_zero(times, events, left)
+            if zero[f, c] and table.grid.size:
+                flagged += 1
+                score = _logrank_exact(table.ranks[order], events[order], table,
+                                       np.array([f]), np.array([c]))
+                assert score[0] == 0.0
+    assert flagged > 100
+
+
+# ---------------------------------------------------------------------------
+# Shared node tables and the unscreened path
+# ---------------------------------------------------------------------------
+
+def _node_cases(rng):
+    """(times, events) of survival nodes: random ones plus the edges."""
+    cases = [
+        (np.array([3.0, 1.0, 2.0]), np.zeros(3, dtype=bool)),  # no events
+        (np.array([2.0, 2.0, 2.0, 5.0]), np.array([1, 1, 0, 0], dtype=bool)),  # one event time
+        (np.array([4.0, 4.0, 4.0]), np.ones(3, dtype=bool)),  # all rows equal
+        # ties, and rows censored before the first event
+        (np.array([0.5, 0.5, 1.0, 2.0, 2.0, 2.0, 3.0, 3.0]),
+         np.array([0, 0, 0, 1, 1, 0, 1, 0], dtype=bool)),
+        (np.array([7.0]), np.array([True])),
+    ]
+    for _ in range(200):
+        n = int(rng.integers(1, 50))
+        if rng.random() < 0.5:
+            times = rng.integers(1, int(rng.integers(2, 12)), size=n).astype(np.float64)
+        else:
+            times = rng.uniform(0.1, 5.0, n)
+        cases.append((times, rng.random(n) < rng.choice([0.0, 0.3, 0.8, 1.0])))
+    return cases
+
+
+def test_node_tables_give_risk_score_and_kaplan_meier_bitwise(rng):
+    grids = [np.array([]), np.array([2.0]), np.sort(rng.uniform(0.0, 6.0, 40)),
+             np.arange(0.5, 12.0)]
+    for times, events in _node_cases(rng):
+        table = _event_tables(times, events)
+        for grid in grids:
+            ours = np.float64(table.risk_score(grid))
+            assert ours.tobytes() == np.float64(risk_score(times, events, grid)).tobytes()
+        ours, reference = table.kaplan_meier(), kaplan_meier(times, events)
+        assert ours.times.tobytes() == reference.times.tobytes()
+        assert ours.values.tobytes() == reference.values.tobytes()
+        assert ours.baseline == reference.baseline
+        assert table.pure == (not events.any() or bool(np.all(
+            np.column_stack([times, events]) == [times[0], events[0]])))
+
+
+def _always_screen_best(order, is_cut, table):
+    """The split search before the unscreened path: every node is screened,
+    and every kept cut, zero variance or not, is scored exactly."""
+    if table.grid.size == 0:
+        return None
+    sorted_ranks = table.ranks[order]
+    sorted_events = table.events[order]
+    _, keep = _logrank_screen(sorted_ranks, sorted_events, table, is_cut)
+    feat, pos = np.nonzero(keep)
+    if feat.size == 0:
+        return None
+    score = _logrank_exact(sorted_ranks, sorted_events, table, feat, pos)
+    best = int(np.argmax(score))
+    return int(feat[best]), int(pos[best]), float(score[best])
+
+
+@pytest.mark.parametrize("n, p, seed", [(300, 6, 21), (700, 6, 22)])
+def test_survival_forest_equals_per_node_recomputation(n, p, seed, monkeypatch):
+    ds = make_survival(n, p, seed=seed)
+    params = ForestParams(n_trees=3, seed=seed)
+    calls = {"best": 0, "screened": 0}
+    best, screen = forest_mod._logrank_best, forest_mod._logrank_screen
+
+    def counted_best(*args):
+        calls["best"] += 1
+        return best(*args)
+
+    def counted_screen(*args):
+        calls["screened"] += 1
+        return screen(*args)
+
+    monkeypatch.setattr(forest_mod, "_logrank_best", counted_best)
+    monkeypatch.setattr(forest_mod, "_logrank_screen", counted_screen)
+    fitted = _fit_json(ds, params)
+    assert calls["screened"] > 0 and calls["best"] - calls["screened"] > 0
+    monkeypatch.setattr(forest_mod, "_logrank_best", _always_screen_best)
+    monkeypatch.setattr(forest_mod.EventTable, "risk_score",
+                        lambda table, grid: risk_score(table.times, table.events, grid))
+    monkeypatch.setattr(forest_mod.EventTable, "kaplan_meier",
+                        lambda table: kaplan_meier(table.times, table.events))
+    assert fitted == _fit_json(ds, params)
 
 
 # ---------------------------------------------------------------------------
