@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -336,19 +338,210 @@ def _fit_json(ds, params):
     return json.dumps(forest_to_dict(fit_forest(ds, params)))
 
 
-@pytest.mark.parametrize("make", [
-    lambda: make_binary(120, 6, seed=1),
-    lambda: make_regression(120, 6, seed=2),
-    lambda: make_multitarget(100, 5, 3, seed=3),
-    lambda: make_multilabel(100, 5, 3, seed=4),
-    lambda: make_survival(150, 6, seed=5),
-], ids=["binary", "regression", "multi-target", "multi-label", "survival"])
-def test_forest_equals_reference_scan_forest(make, monkeypatch):
-    ds = make()
-    params = ForestParams(n_trees=3, seed=11, min_samples_split=4)
-    fitted = _fit_json(ds, params)
+# ---------------------------------------------------------------------------
+# The lockstep grower against the per-tree reference grower
+# ---------------------------------------------------------------------------
+
+def reference_grow_tree(X, Y, task, sample, rng, min_split, mtry, max_depth, event_grid, oob,
+                        fallbacks):
+    """One tree grown alone, depth first, one ``forest_mod.best_split`` call
+    per node and the node's event table built from its own rows; counts the
+    searches over the covariates outside a node's mtry draw in
+    ``fallbacks``."""
+    p = X.shape[1]
+    feature, threshold, left, right, fraction, count, preds = [], [], [], [], [], [], []
+    leaf_km = {}
+
+    def alloc():
+        for values, blank in ((feature, -1), (threshold, math.nan), (left, -1), (right, -1),
+                              (fraction, 0.0), (count, 0), (preds, None)):
+            values.append(blank)
+        return len(feature) - 1
+
+    all_features = np.arange(p)
+    stack = [(alloc(), sample, 0)]
+    while stack:
+        nid, rows, depth = stack.pop()
+        count[nid] = rows.size
+        fraction[nid] = rows.size / sample.size
+        y_rows = Y[rows]
+        table = None
+        if task is TaskKind.SURVIVAL:
+            table = _event_tables(y_rows[:, 0], y_rows[:, 1] > 0.5)
+            preds[nid] = np.array([table.risk_score(event_grid)])
+        else:
+            preds[nid] = y_rows.mean(axis=0)
+        split = None
+        if (rows.size >= min_split and (max_depth is None or depth < max_depth)
+                and not (table.pure if table is not None else np.all(y_rows == y_rows[0]))):
+            cand = np.sort(rng.choice(p, size=mtry, replace=False)) if mtry < p else all_features
+            split = forest_mod.best_split(X, Y, task, rows, cand, table)
+            if split is None and mtry < p:
+                fallbacks.append(nid)
+                split = forest_mod.best_split(X, Y, task, rows, np.setdiff1d(all_features, cand),
+                                              table)
+        if split is None:
+            if table is not None:
+                leaf_km[nid] = table.kaplan_meier()
+            continue
+        j, theta, _ = split
+        go_left = X[rows, j] <= theta
+        lid, rid = alloc(), alloc()
+        feature[nid], threshold[nid], left[nid], right[nid] = j, theta, lid, rid
+        stack.append((rid, rows[~go_left], depth + 1))
+        stack.append((lid, rows[go_left], depth + 1))
+    return forest_mod.Tree(
+        task=task,
+        feature=np.array(feature, dtype=np.int32),
+        threshold=np.array(threshold, dtype=np.float64),
+        left=np.array(left, dtype=np.int32),
+        right=np.array(right, dtype=np.int32),
+        sample_fraction=np.array(fraction, dtype=np.float64),
+        sample_count=np.array(count, dtype=np.int64),
+        node_pred=np.vstack(preds),
+        bootstrap_indices=sample,
+        oob_indices=oob,
+        leaf_km=leaf_km,
+    )
+
+
+def reference_fit_json(ds, params, fallbacks):
+    """``_fit_json`` of a forest grown tree by tree by ``reference_grow_tree``."""
+    min_split = params.resolve_min_split(ds.task)
+    mtry = params.resolve_mtry(ds.task, ds.p)
+    event_grid = np.unique(ds.times[ds.events]) if ds.task is TaskKind.SURVIVAL else None
+    trees = []
+    for i in range(params.n_trees):
+        rng = np.random.default_rng([params.seed, i])
+        if params.bootstrap:
+            sample = rng.integers(0, ds.n, size=ds.n)
+            oob = np.setdiff1d(np.arange(ds.n), np.unique(sample))
+        else:
+            sample, oob = np.arange(ds.n), np.array([], dtype=np.int64)
+        trees.append(reference_grow_tree(ds.covariates, ds.targets, ds.task, sample, rng,
+                                         min_split, mtry, params.max_depth, event_grid, oob,
+                                         fallbacks))
+    forest = forest_mod.Forest(trees=trees, task=ds.task, p=ds.p,
+                               prediction_width=ds.prediction_width, params=params,
+                               min_samples_split=min_split, mtry=mtry, event_grid=event_grid,
+                               covariate_names=ds.covariate_names)
+    return json.dumps(forest_to_dict(forest))
+
+
+def _coarse(ds):
+    """``ds`` with its covariates rounded to a few values, so that many
+    nodes find no cut among their mtry draw and search the rest."""
+    return dataclasses.replace(ds, covariates=np.round(ds.covariates))
+
+
+_KIND_DATA = {
+    "binary": lambda: _coarse(make_binary(120, 6, seed=1)),
+    "regression": lambda: _coarse(make_regression(120, 6, seed=2)),
+    "multi-target": lambda: _coarse(make_multitarget(100, 5, 3, seed=3)),
+    "multi-label": lambda: _coarse(make_multilabel(100, 5, 3, seed=4)),
+    "survival": lambda: _coarse(make_survival(150, 6, seed=5)),
+}
+
+
+@pytest.mark.parametrize("kind", list(_KIND_DATA))
+def test_forest_equals_reference_scan_forest(kind, monkeypatch):
+    # the lockstep forest, against trees grown one at a time by the
+    # per-covariate reference scan: mtry < p (with the search of the rest),
+    # mtry = p, a depth limit, and no bootstrap
+    ds = _KIND_DATA[kind]()
+    variants = [
+        ForestParams(n_trees=4, seed=11, min_samples_split=4),
+        ForestParams(n_trees=3, seed=12, min_samples_split=4, mtry=ds.p),
+        ForestParams(n_trees=3, seed=13, max_depth=2),
+        ForestParams(n_trees=3, seed=14, bootstrap=False, mtry=2),
+    ]
+    fitted = [_fit_json(ds, params) for params in variants]
     monkeypatch.setattr(forest_mod, "best_split", reference_best_split)
-    assert fitted == _fit_json(ds, params)
+    fallbacks = []
+    for params, forest in zip(variants, fitted):
+        assert forest == reference_fit_json(ds, params, fallbacks)
+        if params.seed == 11:
+            assert fallbacks
+
+
+def _impurity_nodes(rng, regression, count):
+    """Random impurity nodes over one shared data set: mixed row counts
+    (bootstrap-like repeats), rounded and tied covariates, 1 to 9 targets,
+    and the same number of sorted candidates for every node."""
+    w = int(rng.integers(1, 10))
+    N, p = 300, 6
+    X = rng.normal(size=(N, p))
+    X[:, :3] = np.round(X[:, :3] * rng.integers(1, 4, size=3))
+    if regression:
+        Y = rng.normal(size=(N, w))
+        Y[:, 0] = np.round(Y[:, 0])
+    else:
+        Y = (rng.random((N, w)) < rng.random(w)).astype(np.float64)
+    m = int(rng.integers(1, p + 1))
+    rows = [rng.integers(0, N, size=int(rng.choice([rng.integers(2, 12), rng.integers(2, 300)])))
+            for _ in range(count)]
+    cands = np.stack([np.sort(rng.choice(p, size=m, replace=False)) for _ in range(count)])
+    return X, Y, rows, cands
+
+
+@pytest.mark.parametrize("regression", [False, True], ids=["gini", "variance"])
+def test_batched_impurity_scoring_equals_reference_per_node(regression, monkeypatch):
+    rng = np.random.default_rng(31 + regression)
+    task = TaskKind.MULTI_TARGET if regression else TaskKind.MULTI_LABEL
+    for _ in range(12):
+        X, Y, rows, cands = _impurity_nodes(rng, regression, int(rng.integers(1, 60)))
+        expected = [reference_best_split(X, Y, task, r, c) for r, c in zip(rows, cands)]
+        shuffle = rng.permutation(len(rows))
+        for cap in (1, 64, 8192, 1 << 24):  # from one node per chunk to one chunk per bucket
+            monkeypatch.setattr(forest_mod, "_BATCH_CELLS", cap)
+            assert forest_mod._impurity_splits(X, Y, rows, cands, regression) == expected
+            mixed = forest_mod._impurity_splits(X, Y, [rows[i] for i in shuffle], cands[shuffle],
+                                                regression)
+            assert mixed == [expected[i] for i in shuffle]
+
+
+def test_chunk_plan_respects_the_cap():
+    rng = np.random.default_rng(5)
+    cap = forest_mod._BATCH_CELLS
+    for _ in range(200):
+        sizes = rng.integers(2, int(rng.choice([20, 300, 5000])), size=int(rng.integers(1, 120)))
+        per_row = int(rng.integers(1, 60))
+        chunks = forest_mod._plan_chunks(sizes, per_row)
+        assert sorted(i for chunk in chunks for i in chunk) == list(range(sizes.size))
+        for chunk in chunks:
+            widest = int(sizes[chunk].max())
+            assert widest < 2 * int(sizes[chunk].min())  # one power-of-two bucket
+            assert len(chunk) == 1 or len(chunk) * widest * per_row <= cap
+
+
+def test_fit_peak_memory_is_capped():
+    # the first lockstep step holds all 40 roots of 400 rows; stacked whole,
+    # the forest's peak is 8.1 MiB, and 1.4 MiB in chunks under the cap
+    ds = make_binary(400, 24, seed=1)
+    tracemalloc.start()
+    try:
+        fit_forest(ds, ForestParams(n_trees=40, seed=1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
+
+
+def test_event_table_subset_equals_rebuilt_table(rng):
+    cases = _node_cases(rng)
+    for times, events in cases:
+        table = _event_tables(times, events)
+        for _ in range(3):
+            mask = rng.random(times.size) < rng.choice([0.0, 0.3, 0.7, 1.0])
+            child = table.subset(mask)
+            grandchild_mask = rng.random(int(mask.sum())) < 0.5
+            pairs = [(child, _event_tables(times[mask], events[mask])),
+                     (child.subset(grandchild_mask),
+                      _event_tables(times[mask][grandchild_mask], events[mask][grandchild_mask]))]
+            for derived, rebuilt in pairs:
+                for name, ours, reference in zip(rebuilt._fields, derived, rebuilt):
+                    assert ours.dtype == reference.dtype, name
+                    assert ours.tobytes() == reference.tobytes(), name
 
 
 # ---------------------------------------------------------------------------
@@ -598,12 +791,15 @@ def test_fit_deterministic():
 
 
 def test_fit_thread_independent(monkeypatch):
-    ds = make_binary(80, 5, seed=3)
-    monkeypatch.setenv("BELLATREX_THREADS", "1")
-    a = fit_forest(ds, ForestParams(n_trees=8, seed=7))
-    monkeypatch.setenv("BELLATREX_THREADS", "4")
-    b = fit_forest(ds, ForestParams(n_trees=8, seed=7))
-    assert json.dumps(forest_to_dict(a)) == json.dumps(forest_to_dict(b))
+    # the trees are grown in one lockstep group per thread; 8 threads give
+    # each of the 5 trees a group of its own
+    for ds in (make_binary(80, 5, seed=3), make_regression(80, 5, seed=4),
+               make_survival(90, 5, seed=5)):
+        forests = []
+        for threads in ("1", "2", "3", "8"):
+            monkeypatch.setenv("BELLATREX_THREADS", threads)
+            forests.append(_fit_json(ds, ForestParams(n_trees=5, seed=7)))
+        assert forests[1:] == forests[:1] * 3
 
 
 def test_min_split_default_by_task():
