@@ -161,6 +161,8 @@ def _select_instances(args, ds: Dataset) -> list[int]:
         _, test_idx = plan.split(fold)
         return [int(i) for i in test_idx]
     rows = [int(v) for v in _split_csv_list(raw)]
+    if not rows:
+        raise ValueError("--instances names no rows")
     for r in rows:
         if not 0 <= r < ds.n:
             raise DataError(f"instance index {r} out of range [0, {ds.n})")

@@ -62,9 +62,13 @@ class BenchmarkConfig:
     folds: int = 5
     params: ForestParams = field(default_factory=ForestParams)
     grid: TuningGrid = field(default_factory=TuningGrid)
-    max_test: int = 100
+    max_test: int = 100  # 0: every test row of a fold
     seed: int = 0
     modes: tuple[str, ...] = (MODE_WEIGHTED, MODE_SIMPLE)
+
+    def __post_init__(self) -> None:
+        if self.max_test < 0:
+            raise ValueError("max_test must be non-negative (0 keeps every test row)")
 
 
 @dataclass

@@ -11,17 +11,33 @@ threshold.  Training is bit-deterministic: tree i draws from an RNG stream
 seeded by (seed, i), independent of thread count.
 
 The trees of a forest grow in lockstep (``_grow_trees``): each step pops
-the next node of every tree's own depth-first stack and draws its
-candidates from that tree's RNG, so every stream is consumed in the order
-of a tree grown alone, and children get ids (left, then right) in that
-same order.  All the step's impurity nodes are then scored in one padded
-batch (``_impurity_splits``): one argsort along each candidate of each
-node, non-cuts (equal neighbours) masked, and prefix sums, from which Gini
-and variance gains follow.  Nodes are bucketed by the power of two at or
-above their row count and cut into chunks of at most ``_BATCH_CELLS``
-padded cells, which bounds the memory of a step.  A node's split depends
-on its own rows only, so a forest does not depend on how its trees are
-grouped: ``fit_forest`` gives each worker thread one contiguous group.
+the next node of every tree's own depth-first stack, and children get ids
+(left, then right) in the order of a tree grown alone.  The step's
+splittable nodes draw their candidates together (``_draw_candidates``),
+each from its own tree's RNG stream, and that draw replicates numpy's
+``Generator.choice(p, mtry, replace=False)`` word for word: Floyd's
+algorithm with Lemire-bounded draws, then the shuffle that ``choice``
+applies and the sort undoes (a tail shuffle instead for more than 10,000
+covariates when mtry > p // 50).  The words are each generator's 32-bit
+outputs in ``next_uint32`` order, buffered per tree (``_WordStreams``); a
+tree's generator serves nothing else after its bootstrap draw, so reading
+ahead is safe.  ``test_step_draw_equals_generator_choice`` pins this.
+
+Split search sorts rank keys, not values: ``fit_forest`` ranks each
+covariate once (``rank_keys``) into the narrowest unsigned dtype that also
+holds a pad value above every rank, and a stable sort orders the rows by
+keys exactly as by values (equal values, -0.0 and +0.0 among them, share a
+key).  ``_sort_keys`` gets that order from a plain integer sort of each key
+joined with its position.  Cuts are key changes, and a threshold is read
+from ``X`` at the rows on either side of its cut.  All the step's impurity
+nodes are then scored in one padded batch (``_impurity_splits``): one sort
+along each candidate of each node, non-cuts (equal neighbours) masked, and
+prefix sums, from which Gini and variance gains follow.  Nodes are bucketed by
+the power of two at or above their row count and cut into chunks of at
+most ``_BATCH_CELLS`` padded cells, which bounds the memory of a step.  A
+node's split depends on its own rows only, so a forest does not depend on
+how its trees are grouped: ``fit_forest`` gives each worker thread one
+contiguous group.
 
 A survival node is searched on its own by ``best_split``.  It has one
 event table (``_event_tables`` at the root, ``EventTable.subset`` of its
@@ -259,27 +275,30 @@ def best_split(
     rows: np.ndarray,
     candidates: np.ndarray,
     table: EventTable | None = None,
+    keys: np.ndarray | None = None,
 ) -> tuple[int, float, float] | None:
     """Best (covariate, threshold, score) over the candidate covariates, or
     None when no candidate separates the rows with positive gain.
 
-    The rows are sorted along every candidate at once, and positions where
-    the next sorted value is equal are masked as non-cuts.  The best cut is
-    the first maximum in (covariate, position) order.  An impurity node is
-    ``_impurity_splits`` applied to the node alone.  A survival node's
-    ``table`` (see ``_event_tables``) is built here unless the caller passes
-    it.
+    The rows are sorted along every candidate at once by their rank keys
+    (``rank_keys(X)``, computed here unless the caller passes them), and
+    positions where the next key is equal are masked as non-cuts.  The best
+    cut is the first maximum in (covariate, position) order.  An impurity
+    node is ``_impurity_splits`` applied to the node alone.  A survival
+    node's ``table`` (see ``_event_tables``) is built here unless the caller
+    passes it.
     """
     rows = np.asarray(rows)
     if rows.size < 2:
         return None
+    if keys is None:
+        keys = rank_keys(X)
     cand = np.sort(np.asarray(candidates))
     if task is not TaskKind.SURVIVAL:
-        return _impurity_splits(X, Y, [rows], cand[None, :], not task.classification_like)[0]
-    values = X[rows[None, :], cand[:, None]]  # (m, n): one row per candidate
-    order = np.argsort(values, axis=1, kind="stable")
-    sv = np.sort(values, axis=1)
-    is_cut = sv[:, :-1] < sv[:, 1:]
+        return _impurity_splits(X, keys, Y, [rows], cand[None, :],
+                                not task.classification_like)[0]
+    order, sk = _sort_keys(keys[rows[None, :], cand[:, None]])  # (m, n): a row per candidate
+    is_cut = sk[:, :-1] < sk[:, 1:]
     if not is_cut.any():
         return None
     if table is None:
@@ -291,8 +310,38 @@ def best_split(
     f, c, score = found
     if not score > _MIN_GAIN:
         return None
-    threshold = 0.5 * (sv[f, c] + sv[f, c + 1])
-    return int(cand[f]), threshold, score
+    j = int(cand[f])
+    threshold = 0.5 * (X[rows[order[f, c]], j] + X[rows[order[f, c + 1]], j])
+    return j, threshold, score
+
+
+def rank_keys(X: np.ndarray) -> np.ndarray:
+    """Each column's values replaced by their rank among the column's
+    distinct values, in the narrowest unsigned dtype whose maximum exceeds
+    every rank; that maximum pads the batched sorts.  Keys compare exactly
+    as the values do (equal values, -0.0 and +0.0 among them, share a
+    rank), so a stable sort orders rows the same by either."""
+    n, p = X.shape
+    columns = [np.unique(X[:, j], return_inverse=True) for j in range(p)]
+    dtype = np.min_scalar_type(max((distinct.size for distinct, _ in columns), default=0))
+    keys = np.empty((n, p), dtype=dtype)
+    for j, (_, rank) in enumerate(columns):
+        keys[:, j] = rank
+    return keys
+
+
+def _sort_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(order, sorted keys) of rank keys along the last axis, where
+    ``order`` is their stable argsort.  Each key is joined with its position
+    into one unsigned integer, the key in the high bits; the joined values
+    are distinct, so any sort orders them as a stable sort of the keys
+    does, and numpy's plain sort of 32- and 64-bit integers is several times
+    faster than a stable argsort followed by a gather of the sorted keys."""
+    shift = (block.shape[-1] - 1).bit_length()
+    wide = np.uint32 if 8 * block.itemsize + shift <= 32 else np.uint64
+    positions = np.arange(block.shape[-1], dtype=wide)
+    joined = np.sort((block.astype(wide) << wide(shift)) | positions, axis=-1)
+    return (joined & wide((1 << shift) - 1)).astype(np.intp), joined >> wide(shift)
 
 
 # Largest padded block, in cells (nodes x candidates x padded rows x
@@ -322,45 +371,56 @@ def _plan_chunks(sizes, cells_per_row: int) -> list[list[int]]:
     return chunks
 
 
-def _impurity_splits(X: np.ndarray, Y: np.ndarray, rows: list[np.ndarray], cands: np.ndarray,
-                     regression: bool) -> list[tuple[int, float, float] | None]:
+def _impurity_splits(X: np.ndarray, keys: np.ndarray, Y: np.ndarray, rows: list[np.ndarray],
+                     cands: np.ndarray, regression: bool) -> list[tuple[int, float, float] | None]:
     """``best_split`` of every impurity node: node i holds ``rows[i]``, at
-    least two rows, and draws the sorted candidates ``cands[i]``.  The nodes
-    are scored in padded chunks (see ``_plan_chunks``); a node's result
-    depends on its own rows only, not on the nodes that share its chunk."""
+    least two rows, and draws the sorted candidates ``cands[i]``; ``keys``
+    is ``rank_keys(X)``.  The nodes are scored in padded chunks (see
+    ``_plan_chunks``); a node's result depends on its own rows only, not on
+    the nodes that share its chunk."""
     found: list[tuple[int, float, float] | None] = [None] * len(rows)
     for chunk in _plan_chunks([r.size for r in rows], cands.shape[1] * Y.shape[1]):
-        best = _impurity_chunk(X, Y, [rows[i] for i in chunk], cands[chunk], regression)
+        best = _impurity_chunk(X, keys, Y, [rows[i] for i in chunk], cands[chunk], regression)
         for i, split in zip(chunk, best):
             found[i] = split
     return found
 
 
-def _impurity_chunk(X: np.ndarray, Y: np.ndarray, rows: list[np.ndarray], cands: np.ndarray,
-                    regression: bool) -> list[tuple[int, float, float] | None]:
+def _impurity_chunk(X: np.ndarray, keys: np.ndarray, Y: np.ndarray, rows: list[np.ndarray],
+                    cands: np.ndarray, regression: bool) -> list[tuple[int, float, float] | None]:
     """Best Gini or variance cut of each node of one chunk.
 
-    The nodes' rows are stacked into (nodes, candidates, n_pad) blocks
-    padded with +inf, which a stable sort keeps behind every real row.
-    Prefix sums along each sorted candidate give the left child statistics
-    at every position; a node's totals are read at its own last row, and
-    positions at or beyond its n - 1 are not cuts.  Prefix sums add in row
-    order and every other step is elementwise or a mean over the targets,
-    so the padding changes no node's figures.
+    The nodes' rank keys are stacked into (nodes, candidates, n_pad) blocks
+    padded with the key dtype's maximum, which exceeds every rank, so
+    ``_sort_keys`` keeps the padding behind every real row.  Prefix sums
+    along each sorted candidate give the left child statistics at every
+    position; a node's totals are read at its own last row, and positions
+    at or beyond its n - 1 are not cuts.  Prefix sums add in row order and every
+    other step is elementwise or a mean over the targets (skipped for one
+    target, whose mean is itself), so the padding changes no node's
+    figures.  A cut's threshold is the midpoint of the covariate's values at
+    the rows on either side of it.
     """
     sizes = np.array([r.size for r in rows])
     n_pad = int(sizes.max())
     real = np.arange(n_pad) < sizes[:, None]  # (B, n_pad)
     padded = np.zeros(real.shape, dtype=np.intp)
     padded[real] = np.concatenate(rows)
-    values = np.where(real[:, None, :], X[padded[:, None, :], cands[:, :, None]], np.inf)
-    order = np.argsort(values, axis=2, kind="stable")
+    pad = np.iinfo(keys.dtype).max
+    block = np.where(real[:, None, :], keys[padded[:, None, :], cands[:, :, None]], pad)
+    order, sk = _sort_keys(block)  # (B, m, n_pad)
     node = np.arange(sizes.size)
-    along = (node[:, None, None], np.arange(cands.shape[1])[:, None])
-    sv = values[along + (order,)]  # (B, m, n_pad)
-    sy = Y[padded[along[0], order]]  # (B, m, n_pad, w)
+    sorted_rows = padded[node[:, None, None], order]
+    sy = Y[sorted_rows]  # (B, m, n_pad, w)
     last = sizes - 1
-    is_cut = (sv[:, :, :-1] < sv[:, :, 1:]) & (np.arange(n_pad - 1) < last[:, None, None])
+    is_cut = (sk[:, :, :-1] < sk[:, :, 1:]) & (np.arange(n_pad - 1) < last[:, None, None])
+
+    if Y.shape[1] == 1:
+        def over_targets(a):
+            return a[..., 0]
+    else:
+        def over_targets(a):
+            return a.mean(axis=3)
 
     n = sizes.astype(np.float64)[:, None, None, None]
     nl = np.arange(1, n_pad, dtype=np.float64)[:, None]  # left child sizes
@@ -378,22 +438,23 @@ def _impurity_chunk(X: np.ndarray, Y: np.ndarray, rows: list[np.ndarray], cands:
             var_parent = np.maximum(total_sq / n - (total / n) ** 2, 0.0)
             var_left = np.maximum(left_sq / nl - (left_sum / nl) ** 2, 0.0)
             var_right = np.maximum((total_sq - left_sq) / nr - (right_sum / nr) ** 2, 0.0)
-            gain = (var_parent - share_left * var_left - share_right * var_right).mean(axis=3)
+            gain = over_targets(var_parent - share_left * var_left - share_right * var_right)
         else:
             q_parent = total / n
             q_left = left_sum / nl
             q_right = right_sum / nr
-            g_parent = (2.0 * q_parent * (1.0 - q_parent)).mean(axis=3)
-            g_left = (2.0 * q_left * (1.0 - q_left)).mean(axis=3)
-            g_right = (2.0 * q_right * (1.0 - q_right)).mean(axis=3)
+            g_parent = over_targets(2.0 * q_parent * (1.0 - q_parent))
+            g_left = over_targets(2.0 * q_left * (1.0 - q_left))
+            g_right = over_targets(2.0 * q_right * (1.0 - q_right))
             gain = g_parent - share_left[..., 0] * g_left - share_right[..., 0] * g_right
 
     gain = np.where(is_cut, gain, -np.inf).reshape(sizes.size, -1)
     best = np.argmax(gain, axis=1)
     score = gain[node, best]
     f, c = np.divmod(best, n_pad - 1)
-    threshold = 0.5 * (sv[node, f, c] + sv[node, f, c + 1])
     feature = cands[node, f]
+    below, above = sorted_rows[node, f, c], sorted_rows[node, f, c + 1]
+    threshold = 0.5 * (X[below, feature] + X[above, feature])
     return [
         (int(feature[i]), threshold[i], float(score[i])) if score[i] > _MIN_GAIN else None
         for i in range(sizes.size)
@@ -614,6 +675,100 @@ def _logrank_best(order: np.ndarray, is_cut: np.ndarray, table: EventTable):
 # Tree growing
 # ---------------------------------------------------------------------------
 
+# 32-bit words buffered per tree for the candidate draws: a step draws
+# 2 mtry - 1 of them, so a buffer lasts several steps and holds a few
+# hundred bytes a tree.
+_WORDS = 64
+
+
+class _WordStreams:
+    """The 32-bit words that each tree's generator would hand to its bounded
+    integer draws, buffered per tree.  numpy's ``next_uint32`` returns the
+    upper half of the previous 64-bit output when one is pending
+    (``state["has_uint32"]``), else the lower half of a new output, keeping
+    its upper half pending; a buffer is refilled by ``random_raw`` in that
+    order.  Reading ahead changes nothing else, because the trees' generators
+    draw nothing after their bootstrap samples but these words."""
+
+    def __init__(self, rngs: list[np.random.Generator], width: int) -> None:
+        self.bit_generators = [rng.bit_generator for rng in rngs]
+        self.words = np.zeros((len(rngs), width), dtype=np.uint32)
+        self.pos = np.zeros(len(rngs), dtype=np.intp)  # next unread word
+        self.end = np.zeros(len(rngs), dtype=np.intp)  # one past the last
+        for t, bit_generator in enumerate(self.bit_generators):
+            state = bit_generator.state
+            if state["has_uint32"]:
+                self.words[t, 0] = state["uinteger"]
+                self.end[t] = 1
+
+    def _refill(self, t: int) -> None:
+        words, unread = self.words[t], int(self.end[t] - self.pos[t])
+        words[:unread] = words[self.pos[t]:self.end[t]]
+        raw = self.bit_generators[t].random_raw((words.size - unread) // 2)
+        halves = raw.astype("<u8", copy=False).view("<u4")  # low half first
+        self.end[t] = unread + halves.size
+        words[unread:self.end[t]] = halves
+        self.pos[t] = 0
+
+    def _bounded_one(self, t: int, bound: int) -> int:
+        """numpy's Lemire draw of an integer in [0, bound] from tree t's
+        words: the high half of word * (bound + 1), drawn again while the
+        low half falls below 2^32 mod (bound + 1)."""
+        span = bound + 1
+        while True:
+            if self.pos[t] == self.end[t]:
+                self._refill(t)
+            product = int(self.words[t, self.pos[t]]) * span
+            self.pos[t] += 1
+            if product & 0xFFFFFFFF >= (1 << 32) % span:
+                return product >> 32
+
+    def bounded(self, trees: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+        """(trees, draws) matrix: each listed tree's next draws in [0, b]
+        for the bounds b in order, each b in [1, 2^32 - 2] (numpy draws
+        nothing for b = 0 and one whole word for b = 2^32 - 1), and fewer
+        bounds than the buffer width.  All trees read one word per draw at
+        once; the rare tree with a rejected word draws its row again one
+        word at a time."""
+        k = bounds.size
+        for t in trees[self.end[trees] - self.pos[trees] < k]:
+            self._refill(int(t))
+        span = bounds.astype(np.uint64) + np.uint64(1)
+        words = self.words[trees[:, None], self.pos[trees, None] + np.arange(k)]
+        product = words.astype(np.uint64) * span
+        drawn = product >> np.uint64(32)
+        redo = ((product & np.uint64(0xFFFFFFFF)) < np.uint64(1 << 32) % span).any(axis=1)
+        self.pos[trees[~redo]] += k
+        for i in np.flatnonzero(redo):
+            drawn[i] = [self._bounded_one(int(trees[i]), int(b)) for b in bounds]
+        return drawn.astype(np.intp)
+
+
+def _draw_candidates(streams: _WordStreams, trees: np.ndarray, p: int, mtry: int) -> np.ndarray:
+    """Row i is ``np.sort(rng.choice(p, mtry, replace=False))`` of tree
+    ``trees[i]``'s generator, draw for draw, from its words.  For p up to
+    10,000 (or mtry up to p // 50) ``Generator.choice`` runs Floyd's
+    algorithm: for j = p - mtry .. p - 1 it draws v in [0, j] and takes v,
+    or j when v is taken already; then it shuffles the sample with draws in
+    [0, i] for i = mtry - 1 .. 1, which the sort undoes.  Otherwise it
+    shuffles the tail of 0 .. p - 1 (swaps with draws in [0, i] for i = p - 1
+    down to p - mtry, but not below 1) and takes the last mtry entries."""
+    if p > 10000 and mtry > p // 50:
+        top = np.arange(p - 1, max(p - mtry, 1) - 1, -1)
+        perm = np.tile(np.arange(p), (trees.size, 1))
+        every = np.arange(trees.size)
+        for i, j in zip(top, streams.bounded(trees, top).T):
+            perm[every, i], perm[every, j] = perm[every, j], perm[every, i]
+        return np.sort(perm[:, p - mtry:], axis=1)
+    floyd = np.arange(p - mtry, p)
+    drawn = streams.bounded(trees, np.concatenate([floyd, np.arange(mtry - 1, 0, -1)]))
+    chosen = drawn[:, :mtry]
+    for k in range(1, mtry):
+        taken = (chosen[:, :k] == chosen[:, k:k + 1]).any(axis=1)
+        chosen[taken, k] = floyd[k]
+    return np.sort(chosen, axis=1)
+
+
 class _Growing:
     """One tree's nodes while it grows, and its stack of nodes still to
     visit: (node id, rows, depth, survival event table).  A lockstep group
@@ -671,6 +826,7 @@ class _Growing:
 
 def _grow_trees(
     X: np.ndarray,
+    keys: np.ndarray,
     Y: np.ndarray,
     task: TaskKind,
     growing: list[_Growing],
@@ -680,25 +836,29 @@ def _grow_trees(
     event_grid: np.ndarray | None,
 ) -> list[Tree]:
     """Grow the trees in lockstep.  Each step pops the next node of every
-    tree's own depth-first stack and draws its candidates from that tree's
-    RNG, in the order a tree grown alone would; then all the step's
-    impurity nodes are scored in one batch (``_impurity_splits``), the
-    nodes whose draw found no split again on their remaining covariates,
-    and each split node pushes its right, then its left child."""
+    tree's own depth-first stack, and the trees whose node may split draw
+    their candidates together (``_draw_candidates``) from their own
+    generators' words, in the order a tree grown alone would; then all the
+    step's impurity nodes are scored in one batch (``_impurity_splits``),
+    the nodes whose draw found no split again on their remaining
+    covariates, and each split node pushes its right, then its left child."""
     p = X.shape[1]
     survival = task is TaskKind.SURVIVAL
     regression = not task.classification_like
     all_features = np.arange(p)
+    streams = _WordStreams([g.rng for g in growing], max(_WORDS, 4 * mtry))
 
-    def search(nodes: list, cands: list[np.ndarray]) -> list:
+    def search(nodes: list, cands: np.ndarray) -> list:
         if survival:
-            return [best_split(X, Y, task, node[2], cand, node[4]) for node, cand in zip(nodes, cands)]
-        return _impurity_splits(X, Y, [node[2] for node in nodes], np.stack(cands), regression)
+            return [best_split(X, Y, task, node[2], cand, node[4], keys)
+                    for node, cand in zip(nodes, cands)]
+        return _impurity_splits(X, keys, Y, [node[2] for node in nodes], cands, regression)
 
-    active = growing
-    while active := [g for g in active if g.stack]:
-        nodes = []  # (tree, node id, rows, depth, table, candidates)
-        for g in active:
+    active = list(range(len(growing)))
+    while active := [t for t in active if growing[t].stack]:
+        nodes = []  # (tree, node id, rows, depth, table, tree index)
+        for t in active:
+            g = growing[t]
             nid, rows, depth, table = g.stack.pop()
             if survival:
                 g.visit(nid, rows.size, np.array([table.risk_score(event_grid)]))
@@ -711,16 +871,19 @@ def _grow_trees(
                 and (max_depth is None or depth < max_depth)
                 and not (table.pure if survival else (y_rows == y_rows[0]).all())
             ):
-                cand = np.sort(g.rng.choice(p, size=mtry, replace=False)) if mtry < p else all_features
-                nodes.append((g, nid, rows, depth, table, cand))
+                nodes.append((g, nid, rows, depth, table, t))
             elif survival:
                 g.leaf_km[nid] = table.kaplan_meier()
         if not nodes:
             continue
-        splits = search(nodes, [node[5] for node in nodes])
+        if mtry < p:
+            cands = _draw_candidates(streams, np.array([node[5] for node in nodes]), p, mtry)
+        else:
+            cands = np.broadcast_to(all_features, (len(nodes), p))
+        splits = search(nodes, cands)
         retry = [i for i, split in enumerate(splits) if split is None] if mtry < p else []
         if retry:
-            rests = [np.setdiff1d(all_features, nodes[i][5]) for i in retry]
+            rests = np.stack([np.setdiff1d(all_features, cands[i]) for i in retry])
             for i, split in zip(retry, search([nodes[i] for i in retry], rests)):
                 splits[i] = split
 
@@ -767,6 +930,7 @@ def fit_forest(train: Dataset, params: ForestParams) -> Forest:
         event_grid = np.unique(train.times[train.events])
 
     X = np.ascontiguousarray(train.covariates, dtype=np.float64)
+    keys = rank_keys(X)
     Y = np.ascontiguousarray(train.targets, dtype=np.float64)
     n = train.n
     everything = np.arange(n)
@@ -785,7 +949,7 @@ def fit_forest(train: Dataset, params: ForestParams) -> Forest:
         return _Growing(sample, oob, rng, table)
 
     def grow(group: range) -> list[Tree]:
-        return _grow_trees(X, Y, train.task, [start(i) for i in group], min_split, mtry,
+        return _grow_trees(X, keys, Y, train.task, [start(i) for i in group], min_split, mtry,
                            params.max_depth, event_grid)
 
     k = min(thread_count(), params.n_trees)

@@ -209,7 +209,8 @@ class SortedRows:
                 if pick >= n or best_d2[pick] == 0.0:
                     pick = int(np.argmax(best_d2))
                 centroids[c] = Xs[pick]
-                best_d2 = np.minimum(best_d2, np.sum((Xs - centroids[c]) ** 2, axis=1))
+                if c + 1 < k:  # nothing reads the distances after the last pick
+                    best_d2 = np.minimum(best_d2, np.sum((Xs - centroids[c]) ** 2, axis=1))
 
         row_ids = np.arange(n)
         flat = Xs.ravel()

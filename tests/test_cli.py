@@ -423,3 +423,36 @@ def test_tau_larger_than_forest_is_usage_error(binary_files, tmp_path):
     code = run(["benchmark", "--data", data, "--schema", schema,
                 "--trees", "10", "--grid-tau", "40", "--out", out])
     assert code == 2
+
+
+@pytest.mark.parametrize("command, report", [("benchmark", "report.tsv"),
+                                             ("ablate", "ablation.tsv")])
+@pytest.mark.parametrize("max_test", [-1, -2])
+def test_negative_max_test_is_usage_error(binary_files, tmp_path, capsys, command, report,
+                                          max_test):
+    # a negative cap used to drop that many test rows of every fold silently
+    _, data, schema = binary_files
+    out = tmp_path / "bench"
+    code = run([command, "--data", data, "--schema", schema, "--folds", "2",
+                "--trees", "5", "--grid-tau", "4", "--max-test", max_test, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "max_test must be non-negative" in err
+    assert "Traceback" not in err
+    assert not (out / report).exists()
+
+
+@pytest.mark.parametrize("instances", ["", " , "])
+def test_explain_without_instances_is_usage_error(binary_files, tmp_path, capsys, instances):
+    _, data, schema = binary_files
+    model = tmp_path / "model"
+    run(["train", "--data", data, "--schema", schema, "--trees", 5, "--out", model])
+    capsys.readouterr()
+    out = tmp_path / "expl"
+    code = run(["explain", "--data", data, "--schema", schema,
+                "--forest", model / "forest.json", "--instances", instances,
+                "--grid-tau", "4", "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--instances names no rows" in err
+    assert not list(out.glob("instance_*"))

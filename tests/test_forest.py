@@ -492,12 +492,149 @@ def test_batched_impurity_scoring_equals_reference_per_node(regression, monkeypa
         X, Y, rows, cands = _impurity_nodes(rng, regression, int(rng.integers(1, 60)))
         expected = [reference_best_split(X, Y, task, r, c) for r, c in zip(rows, cands)]
         shuffle = rng.permutation(len(rows))
+        keys = forest_mod.rank_keys(X)
         for cap in (1, 64, 8192, 1 << 24):  # from one node per chunk to one chunk per bucket
             monkeypatch.setattr(forest_mod, "_BATCH_CELLS", cap)
-            assert forest_mod._impurity_splits(X, Y, rows, cands, regression) == expected
-            mixed = forest_mod._impurity_splits(X, Y, [rows[i] for i in shuffle], cands[shuffle],
-                                                regression)
+            assert forest_mod._impurity_splits(X, keys, Y, rows, cands, regression) == expected
+            mixed = forest_mod._impurity_splits(X, keys, Y, [rows[i] for i in shuffle],
+                                                cands[shuffle], regression)
             assert mixed == [expected[i] for i in shuffle]
+
+
+def _awkward_columns(rng, n):
+    """Covariates that a rank key must order exactly as its value: ties,
+    -0.0 next to +0.0, a constant column, and distinct values."""
+    signed_zero = rng.choice([-0.0, 0.0, -1.5, 2.0], size=n)
+    return np.column_stack([
+        np.round(rng.normal(size=n)),
+        signed_zero,
+        np.full(n, 3.0),
+        rng.normal(size=n),
+        np.where(rng.random(n) < 0.5, -0.0, 0.0) + rng.integers(0, 2, size=n),
+    ])
+
+
+@pytest.mark.parametrize("task", [TaskKind.BINARY, TaskKind.REGRESSION, TaskKind.MULTI_TARGET,
+                                  TaskKind.MULTI_LABEL, TaskKind.SURVIVAL])
+def test_rank_keyed_split_equals_float_reference(task):
+    rng = np.random.default_rng(61)
+    for _ in range(40):
+        n = int(rng.integers(2, 80))
+        X = _awkward_columns(rng, n)
+        _, Y = _random_node(rng, task, n, 1)
+        keys = forest_mod.rank_keys(X)
+        rows = rng.integers(0, n, size=n)
+        for cand in (np.arange(5), np.array([1, 2]), np.array([2])):
+            found = best_split(X, Y, task, rows, cand, keys=keys)
+            expected = reference_best_split(X, Y, task, rows, cand)
+            assert found == expected
+            if found is not None:  # the threshold is a value midpoint, its sign kept
+                assert np.float64(found[1]).tobytes() == np.float64(expected[1]).tobytes()
+
+
+def test_rank_keys_sort_like_the_values():
+    rng = np.random.default_rng(62)
+    X = _awkward_columns(rng, 200)  # at most 200 distinct values a column
+    keys = forest_mod.rank_keys(X)
+    assert keys.dtype == np.uint8
+    for j in range(X.shape[1]):
+        by_value = np.argsort(X[:, j], kind="stable")
+        assert np.array_equal(np.argsort(keys[:, j], kind="stable"), by_value)
+        ordered = keys[by_value, j]
+        assert np.array_equal(ordered[1:] > ordered[:-1], X[by_value[1:], j] > X[by_value[:-1], j])
+    assert keys[:, 2].max() == 0 and np.iinfo(keys.dtype).max > keys.max()
+
+
+@pytest.mark.parametrize("distinct, dtype", [(255, np.uint8), (256, np.uint16),
+                                             (65535, np.uint16), (65536, np.uint32)])
+def test_rank_key_dtype_holds_ranks_and_pad(distinct, dtype):
+    X = np.column_stack([np.arange(distinct, dtype=np.float64)[::-1], np.zeros(distinct)])
+    keys = forest_mod.rank_keys(X)
+    assert keys.dtype == dtype
+    assert np.array_equal(keys[:, 0], np.arange(distinct)[::-1])
+    assert int(keys.max()) < np.iinfo(dtype).max  # the pad sorts behind every row
+
+
+@pytest.mark.parametrize("dtype, length", [
+    (np.uint8, 2), (np.uint8, 37), (np.uint16, 300), (np.uint16, 70_000), (np.uint32, 9),
+])
+def test_sort_keys_is_the_stable_argsort(dtype, length):
+    # a uint16 row of 70,000 keys, or any uint32 keys, join into 64 bits
+    rng = np.random.default_rng(65)
+    top = int(np.iinfo(dtype).max)
+    block = rng.integers(0, rng.choice([3, top]), size=(3, 2, length), endpoint=True).astype(dtype)
+    order, ordered = forest_mod._sort_keys(block)
+    expected = np.argsort(block, axis=-1, kind="stable")
+    assert np.array_equal(order, expected)
+    assert np.array_equal(ordered, np.take_along_axis(block, expected, axis=-1))
+
+
+@pytest.mark.parametrize("regression", [False, True], ids=["gini", "variance"])
+def test_wide_rank_keys_score_like_the_float_reference(regression):
+    # more distinct values than 16-bit keys hold, so the keys are 32-bit
+    rng = np.random.default_rng(63 + regression)
+    n = 70_000
+    X = np.column_stack([rng.permutation(n) * 0.5 - 1000.0, np.round(rng.normal(size=n))])
+    Y = rng.normal(size=(n, 1)) if regression else (rng.random((n, 1)) < 0.3).astype(np.float64)
+    keys = forest_mod.rank_keys(X)
+    assert keys.dtype == np.uint32
+    task = TaskKind.REGRESSION if regression else TaskKind.BINARY
+    rows = [rng.integers(0, n, size=size) for size in (70_000, 5_000, 40, 2)]
+    cands = np.array([[0, 1]] * len(rows))
+    expected = [reference_best_split(X, Y, task, r, c) for r, c in zip(rows, cands)]
+    assert forest_mod._impurity_splits(X, keys, Y, rows, cands, regression) == expected
+
+
+def _bootstrapped(seed, tree, n):
+    """Tree ``tree``'s generator after a bootstrap draw of n rows (none for
+    n = 0); an odd n leaves half of a 64-bit output pending."""
+    rng = np.random.default_rng([seed, tree])
+    if n:
+        rng.integers(0, n, size=n)
+    return rng
+
+
+def test_step_draw_equals_generator_choice():
+    # every p from 2 to 60 and every mtry < p, over trees with odd, even and
+    # no bootstrap draws; each step draws for a random subset of the trees,
+    # and the narrowest buffer is refilled with words left over
+    rng = np.random.default_rng(64)
+    checked = 0
+    for p in range(2, 61):
+        for mtry in range(1, p):
+            seed = p * 100 + mtry
+            sizes = rng.integers(0, 40, size=5)
+            width = 2 * mtry if mtry % 2 else max(forest_mod._WORDS, 4 * mtry)
+            streams = forest_mod._WordStreams(
+                [_bootstrapped(seed, t, n) for t, n in enumerate(sizes)], width)
+            reference = [_bootstrapped(seed, t, n) for t, n in enumerate(sizes)]
+            for _ in range(6):
+                trees = np.flatnonzero(rng.random(sizes.size) < 0.7)
+                if trees.size == 0:
+                    continue
+                drawn = forest_mod._draw_candidates(streams, trees, p, mtry)
+                for row, t in zip(drawn, trees):
+                    expected = np.sort(reference[t].choice(p, size=mtry, replace=False))
+                    assert row.tolist() == expected.tolist()
+                    checked += 1
+    assert checked > 20_000
+
+
+@pytest.mark.parametrize("p, mtry", [
+    (3_000_000_000, 2), (3_000_000_000, 3),  # bounds near 3e9: about 30% of words rejected
+    (10_001, 200), (10_001, 201),  # above 10,000 covariates, Floyd's sample up to p // 50
+    (10_050, 202), (10_050, 1_000),  # and the tail shuffle beyond it
+])
+def test_step_draw_equals_generator_choice_at_the_edges(p, mtry):
+    sizes = [0, 7, 12, 31]
+    streams = forest_mod._WordStreams([_bootstrapped(5, t, n) for t, n in enumerate(sizes)],
+                                      max(forest_mod._WORDS, 4 * mtry))
+    reference = [_bootstrapped(5, t, n) for t, n in enumerate(sizes)]
+    for trees in ([0, 1, 2, 3], [1, 3], [0, 1, 2, 3], [2]):
+        drawn = forest_mod._draw_candidates(streams, np.array(trees), p, mtry)
+        for row, t in zip(drawn, trees):
+            expected = np.sort(reference[t].choice(p, size=mtry, replace=False))
+            assert row.tolist() == expected.tolist()
 
 
 def test_chunk_plan_respects_the_cap():

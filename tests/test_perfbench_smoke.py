@@ -1,0 +1,27 @@
+"""Smoke test of the benchmark entry point: ``perfbench/run.py`` drives the
+package through its public names (``fit_forest``, ``tune_and_explain``,
+``run_benchmark`` and others), and a run that loses one of them ends without
+its result line."""
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_benchmark_run_ends_with_a_full_result_line():
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--small",
+         "--seconds", "0.2", "--seed", "5"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True
+    assert result["failed"] == 0
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    expected = {f"{workload['name']}/{metric['name']}"
+                for workload in declared["workloads"] for metric in declared["end_to_end"]}
+    assert len(expected) == 9
+    assert set(result["metrics"]) == expected
