@@ -364,7 +364,9 @@ def preprocess(
     first; then rows whose missing fraction (over the surviving columns)
     exceeds ``row_drop_threshold``.  Remaining gaps are imputed with the
     column median (numeric) or mode (categorical).  Rows with missing target
-    values are always dropped.  The result is idempotent under a second call.
+    values are always dropped.  An infinite numeric covariate in a kept row
+    and column raises a DataError.  The result is idempotent under a second
+    call.
     """
     if not 0 < col_drop_threshold <= 1 or not 0 < row_drop_threshold <= 1:
         raise ValueError("drop thresholds must lie in (0, 1]")
@@ -403,7 +405,13 @@ def preprocess(
                 out_cols.append(np.array([1.0 if v == level else 0.0 for v in values]))
                 out_names.append(f"{name}={level}")
         else:
-            values, count = _impute_numeric(col.astype(np.float64), miss)
+            values = col.astype(np.float64)
+            infinite = np.flatnonzero(np.isinf(values))
+            if infinite.size:
+                row = int(row_idx[infinite[0]])
+                raise DataError(f"covariate {name!r} is infinite in row {row}"
+                                " (0-based data row); infinite covariates are not supported")
+            values, count = _impute_numeric(values, miss)
             imputed_cells += count
             out_cols.append(values)
             out_names.append(name)

@@ -6,13 +6,20 @@ Every node records the fraction of the tree's training sample that reaches
 it and a task-typed running prediction, so decision paths can be rendered
 and vectorized downstream.  Split rule: x goes left iff x[j] <= threshold;
 candidate thresholds are midpoints between consecutive distinct sorted
-values; gain ties resolve to the lowest covariate index, then the lowest
+values (or the lower value, where the midpoint would not separate them);
+gain ties resolve to the lowest covariate index, then the lowest
 threshold.  Training is bit-deterministic: tree i draws from an RNG stream
 seeded by (seed, i), independent of thread count.
 
-The trees of a forest grow in lockstep (``_grow_trees``): each step pops
-the next node of every tree's own depth-first stack, and children get ids
-(left, then right) in the order of a tree grown alone.  The step's
+The trees of a forest grow in lockstep (``_grow_trees``) on index
+segments: the trees' samples lie end to end in one index array, and a node
+is a range of it.  Each step pops the next node of every tree's own
+depth-first stack (of the first trees whose nodes fit in ``_STEP_ROWS``
+rows), and children get ids (left, then right) in the order of a tree
+grown alone.  A step's node values, purity tests and partitions are
+array operations over all of its ranges; a split node's range is
+partitioned stably in place, so each child holds its rows in the order a
+tree grown alone gives them.  The step's
 splittable nodes draw their candidates together (``_draw_candidates``),
 each from its own tree's RNG stream, and that draw replicates numpy's
 ``Generator.choice(p, mtry, replace=False)`` word for word: Floyd's
@@ -29,7 +36,9 @@ holds a pad value above every rank, and a stable sort orders the rows by
 keys exactly as by values (equal values, -0.0 and +0.0 among them, share a
 key).  ``_sort_keys`` gets that order from a plain integer sort of each key
 joined with its position.  Cuts are key changes, and a threshold is read
-from ``X`` at the rows on either side of its cut.  All the step's impurity
+from ``X`` at the rows on either side of its cut (their midpoint, or the
+lower value where the midpoint would not separate them,
+``_split_thresholds``).  All the step's impurity
 nodes are then scored in one padded batch (``_impurity_splits``): one sort
 along each candidate of each node, non-cuts (equal neighbours) masked, and
 prefix sums, from which Gini and variance gains follow.  Nodes are bucketed by
@@ -66,7 +75,6 @@ from __future__ import annotations
 
 import json
 import math
-from array import array
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import NamedTuple
@@ -77,6 +85,7 @@ from ._parallel import parallel_map, thread_count
 from .data import Dataset, TaskKind
 from .errors import ForestFileError, UndefinedMetricError
 from .metrics import auroc, mae, weighted_auroc
+from .numeric import segment_sums
 from .survival import StepFunction, concordance_index, product_limit
 
 _MIN_GAIN = 1e-12
@@ -295,8 +304,10 @@ def best_split(
         keys = rank_keys(X)
     cand = np.sort(np.asarray(candidates))
     if task is not TaskKind.SURVIVAL:
-        return _impurity_splits(X, keys, Y, [rows], cand[None, :],
-                                not task.classification_like)[0]
+        feature, threshold, score = _impurity_splits(
+            X, keys, Y, rows, np.zeros(1, dtype=np.intp), np.array([rows.size]), cand[None, :],
+            not task.classification_like)
+        return None if feature[0] < 0 else (int(feature[0]), threshold[0], float(score[0]))
     order, sk = _sort_keys(keys[rows[None, :], cand[:, None]])  # (m, n): a row per candidate
     is_cut = sk[:, :-1] < sk[:, 1:]
     if not is_cut.any():
@@ -311,8 +322,18 @@ def best_split(
     if not score > _MIN_GAIN:
         return None
     j = int(cand[f])
-    threshold = 0.5 * (X[rows[order[f, c]], j] + X[rows[order[f, c + 1]], j])
-    return j, threshold, score
+    below, above = float(X[rows[order[f, c]], j]), float(X[rows[order[f, c + 1]], j])
+    return j, _split_thresholds(below, above)[()], score
+
+
+def _split_thresholds(below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """Threshold of each cut between the values ``below`` < ``above`` on
+    either side of it: their midpoint where it lies in [below, above)
+    (between adjacent doubles it may round onto ``above``, near the float
+    maximum it overflows), else ``below``, so no child is empty.  Callers
+    pass Python floats or silence numpy's overflow warnings."""
+    middle = 0.5 * (below + above)
+    return np.where((below <= middle) & (middle < above), middle, below)
 
 
 def rank_keys(X: np.ndarray) -> np.ndarray:
@@ -355,7 +376,7 @@ def _sort_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 _BATCH_CELLS = 8192
 
 
-def _plan_chunks(sizes, cells_per_row: int) -> list[list[int]]:
+def _plan_chunks(sizes, cells_per_row: int) -> list[np.ndarray]:
     """Chunks of node indices for batched scoring.  Nodes of ``sizes`` rows
     are bucketed by the power of two at or above their row count, so a
     chunk pads each node to less than twice its rows; each bucket is cut
@@ -367,27 +388,33 @@ def _plan_chunks(sizes, cells_per_row: int) -> list[list[int]]:
     chunks = []
     for width, members in sorted(buckets.items()):
         per_chunk = max(1, _BATCH_CELLS // (width * cells_per_row))
-        chunks.extend(members[k:k + per_chunk] for k in range(0, len(members), per_chunk))
+        members = np.array(members)
+        chunks.extend(members[k:k + per_chunk] for k in range(0, members.size, per_chunk))
     return chunks
 
 
-def _impurity_splits(X: np.ndarray, keys: np.ndarray, Y: np.ndarray, rows: list[np.ndarray],
-                     cands: np.ndarray, regression: bool) -> list[tuple[int, float, float] | None]:
-    """``best_split`` of every impurity node: node i holds ``rows[i]``, at
-    least two rows, and draws the sorted candidates ``cands[i]``; ``keys``
-    is ``rank_keys(X)``.  The nodes are scored in padded chunks (see
-    ``_plan_chunks``); a node's result depends on its own rows only, not on
-    the nodes that share its chunk."""
-    found: list[tuple[int, float, float] | None] = [None] * len(rows)
-    for chunk in _plan_chunks([r.size for r in rows], cands.shape[1] * Y.shape[1]):
-        best = _impurity_chunk(X, keys, Y, [rows[i] for i in chunk], cands[chunk], regression)
-        for i, split in zip(chunk, best):
-            found[i] = split
-    return found
+def _impurity_splits(X: np.ndarray, keys: np.ndarray, Y: np.ndarray, index: np.ndarray,
+                     starts: np.ndarray, sizes: np.ndarray, cands: np.ndarray,
+                     regression: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``best_split`` of every impurity node, as (feature, threshold, score)
+    arrays with feature -1 where a node has no split: node i holds the
+    ``sizes[i] >= 2`` rows ``index[starts[i]:starts[i] + sizes[i]]`` and
+    draws the sorted candidates ``cands[i]``; ``keys`` is ``rank_keys(X)``.
+    The nodes are scored in padded chunks (see ``_plan_chunks``); a node's
+    result depends on its own rows only, not on the nodes that share its
+    chunk."""
+    feature = np.empty(sizes.size, dtype=np.intp)
+    threshold = np.empty(sizes.size)
+    score = np.empty(sizes.size)
+    for chunk in _plan_chunks(sizes, cands.shape[1] * Y.shape[1]):
+        feature[chunk], threshold[chunk], score[chunk] = _impurity_chunk(
+            X, keys, Y, index, starts[chunk], sizes[chunk], cands[chunk], regression)
+    return feature, threshold, score
 
 
-def _impurity_chunk(X: np.ndarray, keys: np.ndarray, Y: np.ndarray, rows: list[np.ndarray],
-                    cands: np.ndarray, regression: bool) -> list[tuple[int, float, float] | None]:
+def _impurity_chunk(X: np.ndarray, keys: np.ndarray, Y: np.ndarray, index: np.ndarray,
+                    starts: np.ndarray, sizes: np.ndarray, cands: np.ndarray,
+                    regression: bool) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Best Gini or variance cut of each node of one chunk.
 
     The nodes' rank keys are stacked into (nodes, candidates, n_pad) blocks
@@ -398,14 +425,12 @@ def _impurity_chunk(X: np.ndarray, keys: np.ndarray, Y: np.ndarray, rows: list[n
     at or beyond its n - 1 are not cuts.  Prefix sums add in row order and every
     other step is elementwise or a mean over the targets (skipped for one
     target, whose mean is itself), so the padding changes no node's
-    figures.  A cut's threshold is the midpoint of the covariate's values at
-    the rows on either side of it.
+    figures.  A cut's threshold lies between the covariate's values at the
+    rows on either side of it (``_split_thresholds``).
     """
-    sizes = np.array([r.size for r in rows])
     n_pad = int(sizes.max())
     real = np.arange(n_pad) < sizes[:, None]  # (B, n_pad)
-    padded = np.zeros(real.shape, dtype=np.intp)
-    padded[real] = np.concatenate(rows)
+    padded = index[np.where(real, starts[:, None] + np.arange(n_pad), 0)]
     pad = np.iinfo(keys.dtype).max
     block = np.where(real[:, None, :], keys[padded[:, None, :], cands[:, :, None]], pad)
     order, sk = _sort_keys(block)  # (B, m, n_pad)
@@ -429,7 +454,7 @@ def _impurity_chunk(X: np.ndarray, keys: np.ndarray, Y: np.ndarray, rows: list[n
     left_sum = cum[:, :, :-1]
     total = cum[node, :, last][:, :, None]  # each node's sums at its own last row
     right_sum = total - left_sum
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         share_left, share_right = nl / n, nr / n
         if regression:
             cum2 = np.cumsum(sy * sy, axis=2)
@@ -448,17 +473,14 @@ def _impurity_chunk(X: np.ndarray, keys: np.ndarray, Y: np.ndarray, rows: list[n
             g_right = over_targets(2.0 * q_right * (1.0 - q_right))
             gain = g_parent - share_left[..., 0] * g_left - share_right[..., 0] * g_right
 
-    gain = np.where(is_cut, gain, -np.inf).reshape(sizes.size, -1)
-    best = np.argmax(gain, axis=1)
-    score = gain[node, best]
-    f, c = np.divmod(best, n_pad - 1)
-    feature = cands[node, f]
-    below, above = sorted_rows[node, f, c], sorted_rows[node, f, c + 1]
-    threshold = 0.5 * (X[below, feature] + X[above, feature])
-    return [
-        (int(feature[i]), threshold[i], float(score[i])) if score[i] > _MIN_GAIN else None
-        for i in range(sizes.size)
-    ]
+        gain = np.where(is_cut, gain, -np.inf).reshape(sizes.size, -1)
+        best = np.argmax(gain, axis=1)
+        score = gain[node, best]
+        f, c = np.divmod(best, n_pad - 1)
+        feature = cands[node, f]
+        below, above = sorted_rows[node, f, c], sorted_rows[node, f, c + 1]
+        threshold = _split_thresholds(X[below, feature], X[above, feature])
+    return np.where(score > _MIN_GAIN, feature, -1), threshold, score
 
 
 class EventTable(NamedTuple):
@@ -769,59 +791,48 @@ def _draw_candidates(streams: _WordStreams, trees: np.ndarray, p: int, mtry: int
     return np.sort(chosen, axis=1)
 
 
-class _Growing:
-    """One tree's nodes while it grows, and its stack of nodes still to
-    visit: (node id, rows, depth, survival event table).  A lockstep group
-    holds every tree's unfinished nodes at once, so they are kept in typed
-    arrays, not lists of Python objects (which took 200 bytes a node); node
-    values are appended in visiting order, next to the visited ids."""
+# Most rows that one lockstep step takes (at least one node): the step's
+# arrays hold one entry per row, and a forest's first steps would otherwise
+# take every tree's whole sample at once.  A node's result does not depend
+# on the step it is taken in.
+_STEP_ROWS = 16384
 
-    def __init__(self, sample: np.ndarray, oob: np.ndarray, rng: np.random.Generator,
-                 table: EventTable | None) -> None:
-        self.sample = sample
-        self.oob = oob
-        self.rng = rng
-        self.feature = array("i")
-        self.threshold = array("d")
-        self.left = array("i")
-        self.right = array("i")
-        self.count = array("q")
-        self.visited = array("q")
-        self.values = array("d")
-        self.leaf_km: dict[int, StepFunction] = {}
-        self.stack = [(self.alloc(1), sample, 0, table)]
 
-    def alloc(self, k: int) -> int:
-        """Id of the first of k new leaves."""
-        self.feature.extend([-1] * k)
-        self.threshold.extend([math.nan] * k)
-        self.left.extend([-1] * k)
-        self.right.extend([-1] * k)
-        self.count.extend([0] * k)
-        return len(self.feature) - k
+def _segment_positions(starts: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """The positions of every segment, ``starts[i]`` to ``starts[i] +
+    sizes[i] - 1``, one segment after another."""
+    firsts = np.cumsum(sizes) - sizes
+    positions = np.arange(int(sizes.sum()))
+    positions += np.repeat(starts - firsts, sizes)
+    return positions
 
-    def visit(self, nid: int, count: int, value: np.ndarray) -> None:
-        self.count[nid] = count
-        self.visited.append(nid)
-        self.values.frombytes(value.tobytes())
 
-    def tree(self, task: TaskKind) -> Tree:
-        count = np.array(self.count, dtype=np.int64)
-        node_pred = np.empty((count.size, len(self.values) // count.size))
-        node_pred[np.array(self.visited)] = np.frombuffer(self.values).reshape(count.size, -1)
-        return Tree(
-            task=task,
-            feature=np.array(self.feature, dtype=np.int32),
-            threshold=np.array(self.threshold, dtype=np.float64),
-            left=np.array(self.left, dtype=np.int32),
-            right=np.array(self.right, dtype=np.int32),
-            sample_fraction=count / self.sample.size,
-            sample_count=count,
-            node_pred=node_pred,
-            bootstrap_indices=self.sample,
-            oob_indices=self.oob,
-            leaf_km=self.leaf_km,
-        )
+def _segment_values(Y: np.ndarray, index: np.ndarray, starts: np.ndarray,
+                    sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Value (the targets' ``mean(axis=0)``, bit for bit) and purity (all
+    target rows equal) of the impurity nodes ``index[starts[i]:starts[i] +
+    sizes[i]]``."""
+    y = Y[index[_segment_positions(starts, sizes)]]
+    firsts = np.cumsum(sizes) - sizes
+    pure = (np.minimum.reduceat(y, firsts) == np.maximum.reduceat(y, firsts)).all(axis=1)
+    return segment_sums(y, sizes) / sizes[:, None], pure
+
+
+def _partition(X: np.ndarray, index: np.ndarray, starts: np.ndarray, sizes: np.ndarray,
+               feature: np.ndarray, threshold: np.ndarray) -> np.ndarray:
+    """Split each segment ``index[starts[i]:starts[i] + sizes[i]]`` in place
+    by x[feature[i]] <= threshold[i]: its left rows first, then its right
+    rows, each side in its old order (a stable sort of the rows by
+    segment and side).  Returns each row's side, left True, in the old
+    order, segment after segment."""
+    positions = _segment_positions(starts, sizes)
+    rows = index[positions]
+    go_left = X[rows, np.repeat(feature, sizes)] <= np.repeat(threshold, sizes)
+    side = np.repeat(np.arange(0, 2 * sizes.size, 2, dtype=np.min_scalar_type(2 * sizes.size)),
+                     sizes)
+    side += ~go_left  # left rows keep their segment's even key
+    index[positions] = rows[np.argsort(side, kind="stable")]
+    return go_left
 
 
 def _grow_trees(
@@ -829,82 +840,152 @@ def _grow_trees(
     keys: np.ndarray,
     Y: np.ndarray,
     task: TaskKind,
-    growing: list[_Growing],
+    samples: list[np.ndarray],
+    oobs: list[np.ndarray],
+    rngs: list[np.random.Generator],
     min_split: int,
     mtry: int,
     max_depth: int | None,
     event_grid: np.ndarray | None,
 ) -> list[Tree]:
-    """Grow the trees in lockstep.  Each step pops the next node of every
-    tree's own depth-first stack, and the trees whose node may split draw
-    their candidates together (``_draw_candidates``) from their own
-    generators' words, in the order a tree grown alone would; then all the
-    step's impurity nodes are scored in one batch (``_impurity_splits``),
-    the nodes whose draw found no split again on their remaining
-    covariates, and each split node pushes its right, then its left child."""
+    """Grow the trees in lockstep on index segments: the samples lie end to
+    end in one index array, a node is a range (start, stop) of it, and each
+    tree keeps a depth-first stack of (node id, start, stop, depth) rows.
+    A step pops the top of every stack (of the first trees whose tops fit
+    in ``_STEP_ROWS`` rows, at least one) and treats those nodes together:
+    their values (``segment_sums`` of their targets over their counts, bit
+    for bit each node's ``mean(axis=0)``), a min/max purity test, the
+    candidate draw of the nodes that may split, one batched split search
+    (``_impurity_splits``; per node ``best_split`` for survival, whose value
+    and purity come from the node's event table), and a search of the
+    remaining covariates where the draw found no split.  A split node's
+    range is partitioned in place, left rows first and each side in its old
+    order; its children take its tree's next two ids, and the right child
+    is pushed first.  The ``Tree``s are built after the last step."""
     p = X.shape[1]
     survival = task is TaskKind.SURVIVAL
     regression = not task.classification_like
     all_features = np.arange(p)
-    streams = _WordStreams([g.rng for g in growing], max(_WORDS, 4 * mtry))
+    streams = _WordStreams(rngs, max(_WORDS, 4 * mtry))
+    index = np.concatenate(samples)
+    sizes = np.array([sample.size for sample in samples])
+    stacks = np.zeros((len(samples), 16, 4), dtype=np.intp)  # (node id, start, stop, depth)
+    stacks[:, 0, 1] = np.cumsum(sizes) - sizes
+    stacks[:, 0, 2] = np.cumsum(sizes)
+    height = np.ones(len(samples), dtype=np.intp)
+    next_id = np.ones(len(samples), dtype=np.intp)
+    tables = {}  # (tree, node id) -> the event table of a survival node on a stack
+    if survival:
+        tables = {(t, 0): _event_tables(Y[sample, 0], Y[sample, 1] > 0.5)
+                  for t, sample in enumerate(samples)}
+    leaf_km: list[dict[int, StepFunction]] = [{} for _ in samples]
+    visits, splits = [], []
 
-    def search(nodes: list, cands: np.ndarray) -> list:
+    while (trees := height.nonzero()[0]).size:
+        top = stacks[trees, height[trees] - 1]
+        fits = np.cumsum(top[:, 2] - top[:, 1]) <= _STEP_ROWS
+        fits[0] = True
+        trees = trees[fits]
+        height[trees] -= 1
+        node, start, stop, depth = top[fits].T
+        count = stop - start
         if survival:
-            return [best_split(X, Y, task, node[2], cand, node[4], keys)
-                    for node, cand in zip(nodes, cands)]
-        return _impurity_splits(X, keys, Y, [node[2] for node in nodes], cands, regression)
-
-    active = list(range(len(growing)))
-    while active := [t for t in active if growing[t].stack]:
-        nodes = []  # (tree, node id, rows, depth, table, tree index)
-        for t in active:
-            g = growing[t]
-            nid, rows, depth, table = g.stack.pop()
-            if survival:
-                g.visit(nid, rows.size, np.array([table.risk_score(event_grid)]))
-            else:
-                y_rows = Y[rows]
-                # y_rows.mean(axis=0), bit for bit, without its wrapper
-                g.visit(nid, rows.size, np.add.reduce(y_rows, axis=0) / rows.size)
-            if (
-                rows.size >= min_split
-                and (max_depth is None or depth < max_depth)
-                and not (table.pure if survival else (y_rows == y_rows[0]).all())
-            ):
-                nodes.append((g, nid, rows, depth, table, t))
-            elif survival:
-                g.leaf_km[nid] = table.kaplan_meier()
-        if not nodes:
-            continue
-        if mtry < p:
-            cands = _draw_candidates(streams, np.array([node[5] for node in nodes]), p, mtry)
+            node_tables = [tables.pop(key) for key in zip(trees.tolist(), node.tolist())]
+            value = np.array([[table.risk_score(event_grid)] for table in node_tables])
+            pure = np.array([table.pure for table in node_tables])
         else:
-            cands = np.broadcast_to(all_features, (len(nodes), p))
-        splits = search(nodes, cands)
-        retry = [i for i, split in enumerate(splits) if split is None] if mtry < p else []
-        if retry:
-            rests = np.stack([np.setdiff1d(all_features, cands[i]) for i in retry])
-            for i, split in zip(retry, search([nodes[i] for i in retry], rests)):
-                splits[i] = split
+            value, pure = _segment_values(Y, index, start, count)
+        visits.append((trees, node, count, value))
+        may_split = ~pure & (count >= min_split)
+        if max_depth is not None:
+            may_split &= depth < max_depth
+        at = may_split.nonzero()[0]  # the step's nodes that search
+        feature = np.full(trees.size, -1, dtype=np.intp)
+        threshold = np.empty(trees.size)
 
-        for (g, nid, rows, depth, table, _), split in zip(nodes, splits):
-            if split is None:
-                if survival:
-                    g.leaf_km[nid] = table.kaplan_meier()
-                continue
-            j, theta, _ = split
-            go_left = X[rows, j] <= theta
-            lid = g.alloc(2)
-            g.feature[nid] = j
-            g.threshold[nid] = theta
-            g.left[nid] = lid
-            g.right[nid] = lid + 1
-            left_table = right_table = None
+        def search(at: np.ndarray, cands: np.ndarray) -> None:
             if survival:
-                left_table, right_table = table.subset(go_left), table.subset(~go_left)
-            g.stack.append((lid + 1, rows[~go_left], depth + 1, right_table))
-            g.stack.append((lid, rows[go_left], depth + 1, left_table))
-    return [g.tree(task) for g in growing]
+                for i, cand in zip(at.tolist(), cands):
+                    found = best_split(X, Y, task, index[start[i]:stop[i]], cand,
+                                       node_tables[i], keys)
+                    if found is not None:
+                        feature[i], threshold[i], _ = found
+            else:
+                feature[at], threshold[at], _ = _impurity_splits(
+                    X, keys, Y, index, start[at], count[at], cands, regression)
+
+        if at.size and mtry < p:
+            cands = _draw_candidates(streams, trees[at], p, mtry)
+            search(at, cands)
+            retry = (feature[at] < 0).nonzero()[0]
+            if retry.size:
+                rest = np.ones((retry.size, p), dtype=bool)
+                rest[np.arange(retry.size)[:, None], cands[retry]] = False
+                search(at[retry], np.nonzero(rest)[1].reshape(retry.size, p - mtry))
+        elif at.size:
+            search(at, np.broadcast_to(all_features, (at.size, p)))
+
+        if survival:
+            for i in (feature < 0).nonzero()[0].tolist():
+                leaf_km[trees[i]][int(node[i])] = node_tables[i].kaplan_meier()
+        split = (feature >= 0).nonzero()[0]
+        if not split.size:
+            continue
+        tree, j, theta = trees[split], feature[split], threshold[split]
+        first_child = next_id[tree]
+        next_id[tree] += 2
+        splits.append((tree, node[split], j, theta, first_child))
+
+        lo, n = start[split], count[split]
+        go_left = _partition(X, index, lo, n, j, theta)
+        n_left = np.add.reduceat(go_left, np.cumsum(n) - n, dtype=np.intp)
+        if survival:
+            masks = np.split(go_left, np.cumsum(n)[:-1])
+            for t, k, child, mask in zip(tree.tolist(), split.tolist(), first_child.tolist(), masks):
+                tables[t, child] = node_tables[k].subset(mask)
+                tables[t, child + 1] = node_tables[k].subset(~mask)
+
+        level = height[tree]
+        if level.max() + 2 > stacks.shape[1]:
+            stacks = np.concatenate([stacks, np.zeros_like(stacks)], axis=1)
+        middle, child_depth = lo + n_left, depth[split] + 1
+        stacks[tree, level] = np.array([first_child + 1, middle, lo + n, child_depth]).T
+        stacks[tree, level + 1] = np.array([first_child, lo, middle, child_depth]).T
+        height[tree] += 2
+
+    del index, stacks  # the records below are all that the trees need
+    return _assemble_trees(task, samples, oobs, next_id, visits, splits, leaf_km)
+
+
+def _assemble_trees(task: TaskKind, samples: list[np.ndarray], oobs: list[np.ndarray],
+                    n_nodes: np.ndarray, visits: list, splits: list,
+                    leaf_km: list[dict[int, StepFunction]]) -> list[Tree]:
+    """The ``Tree``s of ``_grow_trees``' records: per step, the visited nodes
+    (tree, node id, row count, value) and the split ones (tree, node id,
+    feature, threshold, left child id).  Each tree's nodes are one slice,
+    in node id order, of arrays shared by the group."""
+    base = np.cumsum(n_nodes) - n_nodes
+    sizes = np.repeat([sample.size for sample in samples], n_nodes)
+    tree, node, count, value = (np.concatenate(field) for field in zip(*visits))
+    visits.clear()
+    at = base[tree] + node
+    sample_count = np.empty(at.size, dtype=np.int64)
+    sample_count[at] = count
+    node_pred = np.empty(value.shape)
+    node_pred[at] = value
+    feature = np.full(at.size, -1, dtype=np.int32)
+    threshold = np.full(at.size, math.nan)
+    left = np.full(at.size, -1, dtype=np.int32)
+    if splits:
+        tree, node, j, theta, first_child = (np.concatenate(field) for field in zip(*splits))
+        splits.clear()
+        at = base[tree] + node
+        feature[at], threshold[at], left[at] = j, theta, first_child
+    right = np.where(left < 0, -1, left + 1)
+    columns = [np.split(a, base[1:]) for a in (feature, threshold, left, right,
+                                               sample_count / sizes, sample_count, node_pred)]
+    return [Tree(task, *arrays, sample, oob, km)
+            for *arrays, sample, oob, km in zip(*columns, samples, oobs, leaf_km)]
 
 
 def fit_forest(train: Dataset, params: ForestParams) -> Forest:
@@ -930,27 +1011,24 @@ def fit_forest(train: Dataset, params: ForestParams) -> Forest:
         event_grid = np.unique(train.times[train.events])
 
     X = np.ascontiguousarray(train.covariates, dtype=np.float64)
+    if not np.isfinite(X).all():
+        raise ValueError("fit_forest expects finite covariates")
     keys = rank_keys(X)
     Y = np.ascontiguousarray(train.targets, dtype=np.float64)
     n = train.n
     everything = np.arange(n)
 
-    def start(i: int) -> _Growing:
+    def draw(i: int) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
         rng = np.random.default_rng([params.seed, i])
-        if params.bootstrap:
-            sample = rng.integers(0, n, size=n)
-            oob = np.setdiff1d(everything, np.unique(sample))
-        else:
-            sample = everything
-            oob = np.array([], dtype=np.int64)
-        table = None
-        if event_grid is not None:
-            table = _event_tables(Y[sample, 0], Y[sample, 1] > 0.5)
-        return _Growing(sample, oob, rng, table)
+        if not params.bootstrap:
+            return everything, np.array([], dtype=np.int64), rng
+        sample = rng.integers(0, n, size=n)
+        return sample, np.setdiff1d(everything, np.unique(sample)), rng
 
     def grow(group: range) -> list[Tree]:
-        return _grow_trees(X, keys, Y, train.task, [start(i) for i in group], min_split, mtry,
-                           params.max_depth, event_grid)
+        samples, oobs, rngs = zip(*(draw(i) for i in group))
+        return _grow_trees(X, keys, Y, train.task, list(samples), list(oobs), list(rngs),
+                           min_split, mtry, params.max_depth, event_grid)
 
     k = min(thread_count(), params.n_trees)
     groups = [range(params.n_trees * g // k, params.n_trees * (g + 1) // k) for g in range(k)]
@@ -1233,9 +1311,10 @@ def _check_forest(forest: Forest) -> None:
     """Raise ValueError unless every tree is a tree over the forest's p
     covariates: its arrays agree in length, node_pred is (nodes,
     prediction_width), split features lie in [0, p), leaves (feature -1)
-    have children -1 and every ``leaf_km`` key is a leaf, and the split
-    nodes' children are every node but the root once each and reach back to
-    it, so that routing ends at a leaf."""
+    have children -1 and every ``leaf_km`` key is a leaf, split thresholds
+    are finite and no node prediction is NaN, and the split nodes' children
+    are every node but the root once each and reach back to it, so that
+    routing ends at a leaf."""
     p = forest.p
     if not forest.trees:
         raise ValueError("the forest has no trees")
@@ -1255,6 +1334,10 @@ def _check_forest(forest: Forest) -> None:
         split = tree.feature >= 0
         if np.any(tree.left[~split] != -1) or np.any(tree.right[~split] != -1):
             raise ValueError(f"tree {i}: a leaf has children")
+        if not np.isfinite(tree.threshold[split]).all():
+            raise ValueError(f"tree {i}: a split threshold is not finite")
+        if np.isnan(tree.node_pred).any():
+            raise ValueError(f"tree {i}: a node prediction is NaN")
         if any(not 0 <= node < n or split[node] for node in tree.leaf_km):
             raise ValueError(f"tree {i}: a leaf_km key is not a leaf")
         children = np.concatenate([tree.left[split], tree.right[split]])

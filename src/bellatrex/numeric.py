@@ -272,6 +272,34 @@ def kmeans_pp(
     return sorted_rows(X).kmeans(n_clusters, seed, max_iter, inertia_trace)
 
 
+def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Column sums of consecutive segments of the rows of ``values`` (rows,
+    w): segment i is the next ``lengths[i]`` rows, at least one.  Row i of
+    the result is ``np.add.reduce(segment_i, axis=0)`` bit for bit, for
+    all segments at once.
+
+    numpy sums one column pairwise and several columns row after row, both
+    from +0.0; adding +0.0 last turns the -0.0 that a sum of -0.0 terms
+    gives here into numpy's +0.0.
+    - One column: ``np.add.reduceat`` sums a segment's terms after its
+      first one pairwise, as ``np.add.reduce`` sums a whole column, and adds
+      the first term in front; a -0.0 put ahead of every segment takes that
+      place and changes no sum.
+    - Several columns: a running sum (``np.cumsum`` adds in order) along a
+      zero-padded (segments, longest, w) block, read at each segment's last
+      row.
+    """
+    lengths = np.asarray(lengths, dtype=np.intp)
+    firsts = np.cumsum(lengths) - lengths
+    if values.shape[1] == 1:
+        ahead = np.insert(values[:, 0], firsts, -0.0)
+        return np.add.reduceat(ahead, firsts + np.arange(lengths.size))[:, None] + 0.0
+    real = np.arange(int(lengths.max())) < lengths[:, None]
+    block = np.zeros(real.shape + values.shape[1:])
+    block[real] = values
+    return np.cumsum(block, axis=1)[np.arange(lengths.size), lengths - 1] + 0.0
+
+
 def nearest_point(X: np.ndarray, target: np.ndarray) -> int:
     """Index of the row of X closest to ``target`` in Euclidean distance;
     ties resolve to the lowest index."""

@@ -230,6 +230,22 @@ def run_process(args, timeout=60):
     return proc.returncode, proc.stderr
 
 
+@pytest.mark.parametrize("low, high", [("-inf", "inf"), ("-Infinity", "Infinity")])
+def test_train_infinite_covariate_is_data_error(tmp_path, low, high):
+    # with only -inf and inf in a column, a split's midpoint was NaN, every
+    # row went right and training never ended; an infinite cell is now
+    # rejected.  The CLI runs in a child process under a time limit
+    data = tmp_path / "inf.csv"
+    data.write_text("x,y\n" + f"{low},0\n" * 3 + f"{high},1\n" * 3)
+    schema = tmp_path / "schema.txt"
+    schema.write_text("task=binary\ntarget=y\n")
+    code, err = run_process(["train", "--data", data, "--schema", schema, "--trees", 2,
+                             "--out", tmp_path / "model"])
+    assert code == 3, err
+    assert "covariate 'x' is infinite in row 0" in err
+    assert "Traceback" not in err
+
+
 def _split_nodes(tree):
     return [v for v, j in enumerate(tree["feature"]) if j >= 0]
 
@@ -278,6 +294,15 @@ def _p_differs_from_names(doc):
     doc["p"] = 6
 
 
+def _split_threshold_null(doc):
+    tree = doc["trees"][0]
+    tree["threshold"][_split_nodes(tree)[0]] = None
+
+
+def _node_pred_nan(doc):
+    doc["trees"][2]["node_pred"][0] = [float("nan")]
+
+
 # each corrupts the forest.json of a 5-tree binary forest over 5 covariates
 FOREST_FAULTS = {
     "array-lengths-disagree": _threshold_short,
@@ -288,6 +313,8 @@ FOREST_FAULTS = {
     "leaf-with-children": _leaf_with_children,
     "cycle-cut-off-from-root": _cycle_cut_off_from_root,
     "p-differs-from-names": _p_differs_from_names,
+    "split-threshold-null": _split_threshold_null,
+    "node-pred-nan": _node_pred_nan,
 }
 
 

@@ -1,10 +1,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import bellatrex.forest as forest_mod
 from bellatrex.data import Dataset, TaskKind
@@ -484,6 +490,15 @@ def _impurity_nodes(rng, regression, count):
     return X, Y, rows, cands
 
 
+def impurity_splits(X, keys, Y, rows, cands, regression):
+    """``forest_mod._impurity_splits`` of nodes given as row arrays, laid end
+    to end as the segments of one index array, in ``best_split``'s form."""
+    sizes = np.array([r.size for r in rows])
+    feature, threshold, score = forest_mod._impurity_splits(
+        X, keys, Y, np.concatenate(rows), np.cumsum(sizes) - sizes, sizes, cands, regression)
+    return [None if f < 0 else (int(f), t, float(g)) for f, t, g in zip(feature, threshold, score)]
+
+
 @pytest.mark.parametrize("regression", [False, True], ids=["gini", "variance"])
 def test_batched_impurity_scoring_equals_reference_per_node(regression, monkeypatch):
     rng = np.random.default_rng(31 + regression)
@@ -495,9 +510,9 @@ def test_batched_impurity_scoring_equals_reference_per_node(regression, monkeypa
         keys = forest_mod.rank_keys(X)
         for cap in (1, 64, 8192, 1 << 24):  # from one node per chunk to one chunk per bucket
             monkeypatch.setattr(forest_mod, "_BATCH_CELLS", cap)
-            assert forest_mod._impurity_splits(X, keys, Y, rows, cands, regression) == expected
-            mixed = forest_mod._impurity_splits(X, keys, Y, [rows[i] for i in shuffle],
-                                                cands[shuffle], regression)
+            assert impurity_splits(X, keys, Y, rows, cands, regression) == expected
+            mixed = impurity_splits(X, keys, Y, [rows[i] for i in shuffle], cands[shuffle],
+                                    regression)
             assert mixed == [expected[i] for i in shuffle]
 
 
@@ -582,7 +597,7 @@ def test_wide_rank_keys_score_like_the_float_reference(regression):
     rows = [rng.integers(0, n, size=size) for size in (70_000, 5_000, 40, 2)]
     cands = np.array([[0, 1]] * len(rows))
     expected = [reference_best_split(X, Y, task, r, c) for r, c in zip(rows, cands)]
-    assert forest_mod._impurity_splits(X, keys, Y, rows, cands, regression) == expected
+    assert impurity_splits(X, keys, Y, rows, cands, regression) == expected
 
 
 def _bootstrapped(seed, tree, n):
@@ -929,14 +944,110 @@ def test_fit_deterministic():
 
 def test_fit_thread_independent(monkeypatch):
     # the trees are grown in one lockstep group per thread; 8 threads give
-    # each of the 5 trees a group of its own
+    # each of the 5 trees a group of its own.  Multi-target and multi-label
+    # node values take the row-after-row sum, the others the pairwise sum
     for ds in (make_binary(80, 5, seed=3), make_regression(80, 5, seed=4),
+               make_multitarget(80, 5, 3, seed=6), make_multilabel(80, 5, 3, seed=7),
                make_survival(90, 5, seed=5)):
         forests = []
         for threads in ("1", "2", "3", "8"):
             monkeypatch.setenv("BELLATREX_THREADS", threads)
             forests.append(_fit_json(ds, ForestParams(n_trees=5, seed=7)))
         assert forests[1:] == forests[:1] * 3
+
+
+@pytest.mark.parametrize("make", [lambda: make_binary(90, 5, seed=8),
+                                  lambda: make_multitarget(80, 4, 3, seed=9),
+                                  lambda: make_survival(90, 4, seed=10)],
+                         ids=["binary", "multi-target", "survival"])
+def test_fit_does_not_depend_on_step_rows(make, monkeypatch):
+    # a step takes the first trees' nodes that fit in _STEP_ROWS rows, and
+    # at least one node; a node's result does not depend on its step
+    ds = make()
+    params = ForestParams(n_trees=6, seed=4)
+    fitted = _fit_json(ds, params)
+    for cap in (1, 100, 300):
+        monkeypatch.setattr(forest_mod, "_STEP_ROWS", cap)
+        assert _fit_json(ds, params) == fitted
+
+
+# Covariate pairs whose midpoint does not lie in [a, b): adjacent doubles
+# with an odd last mantissa bit (it rounds onto b) and neighbours near the
+# float maximum (it overflows)
+_TIGHT_PAIRS = [
+    (1.0 + 2.0 ** -52, np.nextafter(1.0 + 2.0 ** -52, 2.0)),
+    (1.5e308, 1.7e308),
+    (-1.7e308, -1.5e308),
+]
+
+_TIGHT_FIT = """
+import sys
+import numpy as np
+from bellatrex.data import Dataset, TaskKind
+from bellatrex.forest import ForestParams, fit_forest
+a, b = float.fromhex(sys.argv[1]), float.fromhex(sys.argv[2])
+X = np.array([[a], [a], [a], [b], [b], [b]])
+ds = Dataset(task=TaskKind.BINARY, covariates=X, covariate_names=("x",),
+             targets=np.array([[0.0], [0.0], [0.0], [1.0], [1.0], [1.0]]),
+             target_names=("y",), preprocessed=True)
+tree = fit_forest(ds, ForestParams(n_trees=1, min_samples_split=2, bootstrap=False)).trees[0]
+print(tree.sample_count.tolist(), float(tree.threshold[0]).hex())
+"""
+
+
+@pytest.mark.parametrize("a, b", _TIGHT_PAIRS)
+def test_split_between_tight_values_separates(a, b):
+    # the midpoint used to send every row one way: one child was empty and
+    # the other found the same split again, without end; the fit runs in a
+    # child process under a time limit
+    src = str(Path(forest_mod.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", _TIGHT_FIT, float(a).hex(), float(b).hex()],
+                          capture_output=True, text=True, timeout=60, env=env)
+    assert done.returncode == 0, done.stderr[-2000:]
+    counts, threshold = done.stdout.split("] ")
+    assert counts + "]" == "[6, 3, 3]"
+    assert float.fromhex(threshold.strip()) == a
+
+
+@st.composite
+def _extreme_data(draw):
+    """Covariates of a few values each, drawn among extremes, adjacent
+    doubles and ordinary values, and 0/1 or real targets."""
+    n = draw(st.integers(2, 24))
+    p = draw(st.integers(1, 3))
+    base = draw(st.sampled_from([1.0 + 2.0 ** -52, 1.5e308, -1.7e308, 5e-324, 0.0, -3.25]))
+    pool = [base]
+    for _ in range(3):
+        pool.append(float(np.nextafter(pool[-1], np.inf)))
+    pool += [1.7e308, -1.5e308, 1.0, -0.0]
+    X = np.array(draw(st.lists(st.sampled_from(pool), min_size=n * p, max_size=n * p)))
+    regression = draw(st.booleans())
+    y = draw(st.lists(st.floats(0, 1) if regression else st.sampled_from([0.0, 1.0]),
+                      min_size=n, max_size=n))
+    return X.reshape(n, p), np.array(y), regression
+
+
+@settings(max_examples=60, deadline=None)
+@given(_extreme_data(), st.integers(0, 3))
+def test_every_split_has_two_nonempty_children(data, seed):
+    X, y, regression = data
+    task = TaskKind.REGRESSION if regression else TaskKind.BINARY
+    forest = fit_forest(dataset_from(X, y, task),
+                        ForestParams(n_trees=3, seed=seed, min_samples_split=2, max_depth=8))
+    for tree in forest.trees:
+        split = np.flatnonzero(tree.feature >= 0)
+        left, right = tree.left[split], tree.right[split]
+        assert np.all(tree.sample_count[left] > 0) and np.all(tree.sample_count[right] > 0)
+        assert np.array_equal(tree.sample_count[left] + tree.sample_count[right],
+                              tree.sample_count[split])
+        assert np.isfinite(tree.threshold[split]).all()
+
+
+def test_fit_rejects_infinite_covariates():
+    X = np.array([[-np.inf], [0.0], [1.0], [np.inf], [2.0], [3.0]])
+    with pytest.raises(ValueError, match="finite"):
+        fit_forest(dataset_from(X, [0, 0, 1, 1, 0, 1]), ForestParams(n_trees=1))
 
 
 def test_min_split_default_by_task():
@@ -1145,6 +1256,27 @@ def test_round_trip_multitarget(tmp_path):
 def test_from_dict_rejects_garbage():
     with pytest.raises(ValueError):
         forest_from_dict({"format": "something-else"})
+
+
+def test_loaded_split_threshold_must_be_finite():
+    ds = make_binary(60, 3, seed=2)
+    doc = forest_to_dict(fit_forest(ds, ForestParams(n_trees=2, seed=1)))
+    tree = doc["trees"][0]
+    split = next(v for v, j in enumerate(tree["feature"]) if j >= 0)
+    tree["threshold"][split] = None  # a NaN threshold, as a file stores it
+    with pytest.raises(ForestFileError, match="threshold is not finite"):
+        forest_from_dict(doc)
+    tree["threshold"][split] = math.inf
+    with pytest.raises(ForestFileError, match="threshold is not finite"):
+        forest_from_dict(doc)
+
+
+def test_loaded_node_prediction_must_not_be_nan():
+    ds = make_regression(60, 3, seed=2)
+    doc = forest_to_dict(fit_forest(ds, ForestParams(n_trees=2, seed=1)))
+    doc["trees"][1]["node_pred"][-1] = [math.nan]
+    with pytest.raises(ForestFileError, match="prediction is NaN"):
+        forest_from_dict(doc)
 
 
 def test_malformed_forest_files_raise_forest_file_error(tmp_path):

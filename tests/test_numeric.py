@@ -11,6 +11,7 @@ from bellatrex.numeric import (
     pca_fit,
     pca_spectrum,
     pca_transform,
+    segment_sums,
     sorted_rows,
 )
 
@@ -464,3 +465,43 @@ def test_nearest_point_matches_linear_scan(rng):
     assert nearest_point(X, target) == int(np.argmin(dists))
     idx = nearest_point(X, target)
     assert all(dists[idx] <= d for d in dists)
+
+
+# ---------------------------------------------------------------------------
+# Segment sums
+# ---------------------------------------------------------------------------
+
+def _reference_segment_sums(values, lengths):
+    cuts = np.cumsum(lengths)[:-1]
+    return np.stack([np.add.reduce(segment, axis=0) for segment in np.split(values, cuts)])
+
+
+@pytest.mark.parametrize("w", range(1, 10))
+def test_segment_sums_equal_numpy_reduce(w):
+    # node values are these sums, and forest.json records them: if numpy
+    # changes the order in which it adds, this fails before forests drift
+    rng = np.random.default_rng(70 + w)
+    pool = rng.normal(size=(5000, w)) * 10.0 ** rng.integers(-8, 9, size=(5000, w))
+    pool[rng.random(pool.shape) < 0.2] = 0.0
+    for top in (9, 140, 2001):  # one or several of numpy's blocks of 128 terms
+        lengths = rng.integers(1, top, size=int(rng.integers(1, 40)))
+        values = pool[rng.integers(0, pool.shape[0], size=int(lengths.sum()))]
+        got = segment_sums(values, lengths)
+        assert got.tobytes() == _reference_segment_sums(values, lengths).tobytes()
+    for first in range(1, 2001, 50):  # every length from 1 to 2,000 once
+        lengths = np.arange(first, first + 50)
+        values = pool[rng.integers(0, pool.shape[0], size=int(lengths.sum()))]
+        assert segment_sums(values, lengths).tobytes() == \
+            _reference_segment_sums(values, lengths).tobytes()
+
+
+@pytest.mark.parametrize("w", [1, 2, 5])
+def test_segment_sums_of_negative_zeros_are_positive_zero(w):
+    # numpy adds the terms to +0.0, so every -0.0 sums to +0.0; forest.json
+    # writes the sign
+    lengths = np.array([1, 2, 7, 8, 9, 16, 127, 128, 129, 300, 2000])
+    values = np.full((int(lengths.sum()), w), -0.0)
+    got = segment_sums(values, lengths)
+    expected = _reference_segment_sums(values, lengths)
+    assert got.tobytes() == expected.tobytes()
+    assert not np.signbit(got).any()

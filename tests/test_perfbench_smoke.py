@@ -1,8 +1,12 @@
 """Smoke test of the benchmark entry point: ``perfbench/run.py`` drives the
 package through its public names (``fit_forest``, ``tune_and_explain``,
 ``run_benchmark`` and others), and a run that loses one of them ends without
-its result line."""
+its result line.  The last line must be strict JSON: output the package
+prints after it, or a workload whose every operation failed (its median is
+NaN, which ``json.dumps`` writes as a bare ``NaN``), leaves a last line that
+a strict reader refuses."""
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +21,8 @@ def test_benchmark_run_ends_with_a_full_result_line():
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
-    result = json.loads(done.stdout.strip().splitlines()[-1])
+    result = json.loads(done.stdout.strip().splitlines()[-1],
+                        parse_constant=_refuse_constant)
     assert result["correct"] is True
     assert result["failed"] == 0
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -25,3 +30,10 @@ def test_benchmark_run_ends_with_a_full_result_line():
                 for workload in declared["workloads"] for metric in declared["end_to_end"]}
     assert len(expected) == 9
     assert set(result["metrics"]) == expected
+    for name, metric in result["metrics"].items():
+        assert isinstance(metric["value"], (int, float)), name
+        assert math.isfinite(metric["value"]), name
+
+
+def _refuse_constant(name):
+    raise ValueError(f"the result line holds the non-JSON constant {name}")
