@@ -37,6 +37,7 @@ from .explain import (
     FinalRule,
     RuleVector,
     TuningGrid,
+    explain_batch,
     explain_fixed,
     plot_tsv,
     preselect,
@@ -53,6 +54,7 @@ from .forest import (
     best_split,
     decision_path,
     fit_forest,
+    fit_forests,
     forest_predict,
     gini,
     load_forest,

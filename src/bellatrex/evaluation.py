@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
-from ._parallel import parallel_map
+from ._parallel import parallel_map, thread_count
 from .data import Dataset, TaskKind, kfold, scale_targets
 from .errors import UndefinedMetricError
 from .explain import (
@@ -24,13 +25,14 @@ from .explain import (
     Explanation,
     TuningGrid,
     derive_seed,
+    explain_batch,
     rule_vectors,
-    tune_and_explain,
 )
 from .forest import (
     Forest,
     ForestParams,
     fit_forest,
+    fit_forests,
     forest_predict,
     forest_predict_batch,
     node_path,
@@ -48,6 +50,8 @@ METHOD_BTX_SIMPLE = "bellatrex-simple"
 METHOD_DT = "dt"
 METHOD_SMALL_RF = "small-rf"
 METHOD_OOB_TREES = "oob-trees"
+
+_MODE_IDS = {MODE_WEIGHTED: 0, MODE_SIMPLE: 1}  # seed part of each mode's explanations
 
 ABLATION_ARMS: tuple[tuple[str, AblationFlags], ...] = (
     ("full", AblationFlags(False, False)),
@@ -69,6 +73,13 @@ class BenchmarkConfig:
     def __post_init__(self) -> None:
         if self.max_test < 0:
             raise ValueError("max_test must be non-negative (0 keeps every test row)")
+        if not self.modes:
+            raise ValueError("modes must name at least one vectorization mode")
+        for mode in self.modes:
+            if mode not in _MODE_IDS:
+                raise ValueError(f"unknown vectorization mode {mode!r}")
+        if len(set(self.modes)) != len(self.modes):
+            raise ValueError("modes must not repeat")
 
 
 @dataclass
@@ -172,23 +183,52 @@ class _FoldOutcome:
     mean_rules: float | None = None
 
 
-def _fold_setup(ds: Dataset, config: BenchmarkConfig, fold: int,
-                plan) -> tuple[Dataset, Dataset, np.ndarray, Forest]:
-    """(train, test, test_idx, forest) of one fold: targets scaled on the
+def _fold_setup(ds: Dataset, config: BenchmarkConfig, fold: int, plan,
+                baselines: Sequence[ForestParams] = ()
+                ) -> tuple[Dataset, Dataset, np.ndarray, list[Forest]]:
+    """(train, test, test_idx, forests) of one fold: targets scaled on the
     training rows where the task wants it, the test rows capped at
     ``config.max_test`` (``test_idx`` holds their dataset rows), and the
-    fold's forest."""
+    fold's forest followed by a forest for each of the ``baselines``
+    parameter sets, all grown in one pool (``fit_forests``)."""
     train_idx, test_idx = plan.split(fold)
     ds_f = scale_targets(ds, train_idx) if ds.task.normalized_targets else ds
     train = ds_f.subset(train_idx)
     test_idx = _capped_test(test_idx, config.max_test, derive_seed(config.seed, 202, fold))
-    forest = fit_forest(train, replace(config.params, seed=derive_seed(config.seed, 101, fold)))
-    return train, ds_f.subset(test_idx), test_idx, forest
+    params = replace(config.params, seed=derive_seed(config.seed, 101, fold))
+    forests = fit_forests(train, [params, *baselines])
+    return train, ds_f.subset(test_idx), test_idx, forests
+
+
+def _explain_fold(forest: Forest, X: np.ndarray, grid: TuningGrid,
+                  requests: list[tuple[int, str, AblationFlags, int]]) -> list[Explanation]:
+    """``explain_batch`` of the (row of X, mode, flags, seed) requests, in
+    order: one contiguous group of requests per worker thread."""
+    k = min(thread_count(), len(requests))
+    groups = [requests[len(requests) * g // k:len(requests) * (g + 1) // k] for g in range(k)]
+
+    def explain_group(group: list) -> list[Explanation]:
+        rows, modes, flags, seeds = zip(*group)
+        return explain_batch(forest, X[list(rows)], grid, modes, flags, seeds)
+
+    return [e for part in parallel_map(explain_group, groups) for e in part]
+
+
+def _small_rf_params(config: BenchmarkConfig, fold: int, k: int) -> ForestParams:
+    return replace(config.params, n_trees=k, seed=derive_seed(config.seed, 404, fold, k))
 
 
 def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
                    plan) -> list[_FoldOutcome]:
-    train, test, test_idx, forest = _fold_setup(ds, config, fold, plan)
+    # the decision tree and a Small RF for every K of the grid grow in the
+    # fold forest's pool; a chosen K outside the grid (a clamped one) is
+    # fitted when it is needed
+    grid_ks = sorted(set(config.grid.ks))
+    dt_params = replace(config.params, n_trees=1, bootstrap=False, mtry=ds.p,
+                        seed=derive_seed(config.seed, 505, fold))
+    train, test, test_idx, (forest, dt, *smalls) = _fold_setup(
+        ds, config, fold, plan, [dt_params] + [_small_rf_params(config, fold, k) for k in grid_ks])
+    small_cache = dict(zip(grid_ks, smalls))
     X_test = test.covariates
 
     outcomes: list[_FoldOutcome] = []
@@ -198,17 +238,13 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
         _fold_performance(ds.task, rf_preds, test, name, METHOD_RF, fold),
     ))
 
-    explanations: dict[str, list[Explanation]] = {}
-    for mode in config.modes:
-        mode_id = 0 if mode == MODE_WEIGHTED else 1
-
-        def explain_one(i: int) -> Explanation:
-            return tune_and_explain(
-                forest, X_test[i], config.grid, mode,
-                seed=derive_seed(config.seed, 303, fold, int(test_idx[i]), mode_id),
-            )
-
-        explanations[mode] = parallel_map(explain_one, range(test_idx.size))
+    m = test_idx.size
+    explained = _explain_fold(forest, X_test, config.grid, [
+        (i, mode, AblationFlags(),
+         derive_seed(config.seed, 303, fold, int(test_idx[i]), _MODE_IDS[mode]))
+        for mode in config.modes for i in range(m)
+    ])
+    explanations = {mode: explained[j * m:(j + 1) * m] for j, mode in enumerate(config.modes)}
 
     for mode, method in ((MODE_WEIGHTED, METHOD_BTX_WEIGHTED),
                          (MODE_SIMPLE, METHOD_BTX_SIMPLE)):
@@ -232,18 +268,16 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
     pairing_mode = MODE_WEIGHTED if MODE_WEIGHTED in explanations else config.modes[0]
     ks = [e.chosen_k for e in explanations[pairing_mode]]
 
-    small_cache: dict[int, Forest] = {}
-    for k in sorted(set(ks)):
-        small_cache[k] = fit_forest(
-            train, replace(config.params, n_trees=k,
-                           seed=derive_seed(config.seed, 404, fold, k)),
-        )
+    clamped = sorted(set(ks) - set(small_cache))
+    if clamped:
+        small_cache.update(zip(clamped, fit_forests(
+            train, [_small_rf_params(config, fold, k) for k in clamped])))
     small_preds = np.vstack([
-        forest_predict(small_cache[ks[i]], X_test[i]) for i in range(test_idx.size)
+        forest_predict(small_cache[ks[i]], X_test[i]) for i in range(m)
     ])
     small_complexity = []
     small_dissim = []
-    for i in range(test_idx.size):
+    for i in range(m):
         small = small_cache[ks[i]]
         indices = range(small.n_trees)
         small_complexity.append(float(_paths_complexity(small, indices, X_test[i])))
@@ -262,10 +296,9 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
     oob_preds = []
     oob_complexity = []
     oob_dissim = []
-    for i in range(test_idx.size):
+    for i in range(m):
         chosen = err_order[: ks[i]]
-        oob_preds.append(np.mean(
-            [tree_predict(forest.trees[int(t)], X_test[i]) for t in chosen], axis=0))
+        oob_preds.append(baseline_oob_trees(forest, errs, X_test[i], ks[i]))
         oob_complexity.append(float(_paths_complexity(forest, chosen, X_test[i])))
         if ks[i] >= 2:
             oob_dissim.append(dissimilarity(_weighted_vectors(forest, chosen, X_test[i])))
@@ -277,10 +310,6 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
         mean_rules=float(np.mean(ks)),
     ))
 
-    dt = fit_forest(train, replace(
-        config.params, n_trees=1, bootstrap=False, mtry=train.p,
-        seed=derive_seed(config.seed, 505, fold),
-    ))
     dt_preds = forest_predict_batch(dt, X_test)
     outcomes.append(_FoldOutcome(
         METHOD_DT,
@@ -296,6 +325,7 @@ def run_benchmark(dataset: Dataset, name: str,
     OOB Trees}; returns per-fold rows and per-method aggregate reports."""
     if not dataset.preprocessed:
         raise ValueError("run_benchmark expects a preprocessed Dataset")
+    config.grid.validate(config.params.n_trees)
     plan = kfold(dataset.n, config.folds, config.seed)
     fold_rows: list[dict] = []
     per_method: dict[str, list[_FoldOutcome]] = {}
@@ -354,6 +384,7 @@ def run_ablation(dataset: Dataset, name: str, config: BenchmarkConfig) -> list[d
     pipeline; per (arm, fold) surrogate performance plus aggregate rows."""
     if not dataset.preprocessed:
         raise ValueError("run_ablation expects a preprocessed Dataset")
+    config.grid.validate(config.params.n_trees)
     plan = kfold(dataset.n, config.folds, config.seed)
     rows: list[dict] = []
     arm_perf: dict[str, list[float | None]] = {arm: [] for arm, _ in ABLATION_ARMS}
@@ -361,18 +392,16 @@ def run_ablation(dataset: Dataset, name: str, config: BenchmarkConfig) -> list[d
     arm_k: dict[str, list[float]] = {arm: [] for arm, _ in ABLATION_ARMS}
 
     for fold in range(config.folds):
-        _, test, test_idx, forest = _fold_setup(dataset, config, fold, plan)
-        X_test = test.covariates
+        _, test, test_idx, (forest,) = _fold_setup(dataset, config, fold, plan)
+        m = test_idx.size
+        explained = _explain_fold(forest, test.covariates, config.grid, [
+            (i, MODE_WEIGHTED, flags,
+             derive_seed(config.seed, 606, fold, int(test_idx[i]), arm_index))
+            for arm_index, (_, flags) in enumerate(ABLATION_ARMS) for i in range(m)
+        ])
 
-        for arm_index, (arm, flags) in enumerate(ABLATION_ARMS):
-
-            def explain_one(i: int) -> Explanation:
-                return tune_and_explain(
-                    forest, X_test[i], config.grid, MODE_WEIGHTED, flags=flags,
-                    seed=derive_seed(config.seed, 606, fold, int(test_idx[i]), arm_index),
-                )
-
-            expl = parallel_map(explain_one, range(test_idx.size))
+        for arm_index, (arm, _) in enumerate(ABLATION_ARMS):
+            expl = explained[arm_index * m:(arm_index + 1) * m]
             preds = np.vstack([e.surrogate for e in expl])
             perf = _fold_performance(dataset.task, preds, test, name, arm, fold)
             mean_d = float(np.mean([e.chosen_d for e in expl]))

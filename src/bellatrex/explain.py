@@ -13,9 +13,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from ._seeds import derive_seeds, generator_keys, keyed_generator
 from .data import TaskKind
 from .forest import Forest, PathStep, node_path, path_length, path_steps, route, tree_leaf_km
 from .numeric import (
@@ -301,7 +303,7 @@ def tune_and_explain(
 ) -> Explanation:
     """Evaluate the full hyperparameter grid and keep the explanation with
     maximal fidelity; ties prefer smaller K, then smaller effective
-    dimension, then smaller tau.
+    dimension, then smaller tau.  The ``explain_batch`` of one instance.
 
     One clustering seed is derived per grid cell from ``seed`` (the caller's
     per-instance seed) and the cell index, so results are reproducible and
@@ -313,41 +315,80 @@ def tune_and_explain(
     projection dimensions, and each projected matrix is sorted once for all
     its cluster counts.
     """
-    grid = grid or TuningGrid()
-    taus = (forest.n_trees,) if flags.skip_preselection else grid.taus
-    dims = (NO_PROJECTION,) if flags.skip_projection else grid.dims
-    TuningGrid(taus=taus, dims=dims, ks=grid.ks).validate(forest.n_trees)
+    return explain_batch(forest, [x], grid, mode, flags, [seed])[0]
 
-    routes = _route(forest, x)
-    stacked = _selected_vectors(forest, routes, routes.order[:max(taus)], mode)
-    best: tuple | None = None
-    best_key: tuple | None = None
-    cell_index = 0
-    for tau in taus:
-        selected = routes.order[:tau]
-        vectors = stacked[:tau]
-        spectrum = None
-        for dim in dims:
-            if dim is None:
-                projection = identity_projection(forest.p)
-            else:
-                if spectrum is None:
-                    spectrum = pca_spectrum(vectors)
-                projection = spectrum.projection(min(dim, forest.p))
-            projected = pca_transform(projection, vectors)
-            rows = sorted_rows(projected)
-            effective_d = projection.n_components
-            for k in grid.ks:
-                # K=1 is solved in closed form and never reads its seed
-                cell_seed = derive_seed(seed, cell_index) if k > 1 else 0
-                cell = _fit_cell(routes, selected, rows.kmeans(k, cell_seed))
-                cell_index += 1
-                key = (-cell.fidelity, k, effective_d, tau)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = (selected, projected, effective_d, cell, k)
-    assert best is not None
-    return _explanation(forest, routes, *best, mode)
+
+def explain_batch(
+    forest: Forest,
+    X,
+    grid: TuningGrid | None = None,
+    mode: str | Sequence[str] = MODE_WEIGHTED,
+    flags: AblationFlags | Sequence[AblationFlags] = AblationFlags(),
+    seeds: Sequence[int] | None = None,
+) -> list[Explanation]:
+    """``tune_and_explain`` of every instance (row) of ``X``.  ``mode`` and
+    ``flags`` are one value for all instances or one per instance, and
+    ``seeds`` holds each instance's seed (0 for all when omitted).
+
+    The seeds of all the batch's K > 1 cells, and the generators they key,
+    are hashed together (``_seeds``), bit for bit what ``derive_seed`` and
+    ``np.random.default_rng`` give one at a time; then each instance is
+    tuned on its own, so each explanation is the one ``tune_and_explain``
+    gives alone."""
+    grid = grid or TuningGrid()
+    m = len(X)
+    modes = [mode] * m if isinstance(mode, str) else list(mode)
+    arms = [flags] * m if isinstance(flags, AblationFlags) else list(flags)
+    seeds = [0] * m if seeds is None else list(seeds)
+    if not len(modes) == len(arms) == len(seeds) == m:
+        raise ValueError("need one mode, flag set and seed per instance")
+    axes = {}  # flags -> the (taus, dims) they tune over
+    for arm in arms:
+        if arm not in axes:
+            taus = (forest.n_trees,) if arm.skip_preselection else grid.taus
+            dims = (NO_PROJECTION,) if arm.skip_projection else grid.dims
+            TuningGrid(taus=taus, dims=dims, ks=grid.ks).validate(forest.n_trees)
+            axes[arm] = (taus, dims)
+
+    # one clustering seed per K > 1 cell, from the instance's seed and the
+    # cell's index in grid order; K = 1 cells are solved in closed form,
+    # draw nothing and derive no seed, but keep their index
+    parts = [(seeds[i], index) for i in range(m)
+             for index in range(len(axes[arms[i]][0]) * len(axes[arms[i]][1]) * len(grid.ks))
+             if grid.ks[index % len(grid.ks)] > 1]
+    keys = iter(generator_keys(derive_seeds(parts)))  # in the order the cells are tuned
+
+    explanations = []
+    for x, mode_i, arm in zip(X, modes, arms):
+        taus, dims = axes[arm]
+        routes = _route(forest, x)
+        stacked = _selected_vectors(forest, routes, routes.order[:max(taus)], mode_i)
+        best: tuple | None = None
+        best_key: tuple | None = None
+        for tau in taus:
+            selected = routes.order[:tau]
+            vectors = stacked[:tau]
+            spectrum = None
+            for dim in dims:
+                if dim is None:
+                    projection = identity_projection(forest.p)
+                else:
+                    if spectrum is None:
+                        spectrum = pca_spectrum(vectors)
+                    projection = spectrum.projection(min(dim, forest.p))
+                projected = pca_transform(projection, vectors)
+                rows = sorted_rows(projected)
+                effective_d = projection.n_components
+                for k in grid.ks:
+                    rng = keyed_generator(next(keys)) if k > 1 else None
+                    cell = _fit_cell(routes, selected, rows.kmeans(k, rng))
+                    key = (-cell.fidelity, k, effective_d, tau)
+                    if best_key is None or key < best_key:
+                        best_key = key
+                        best = (selected, projected, effective_d, cell, k)
+        assert best is not None
+        explanations.append(_explanation(forest, routes, *best, mode_i))
+    return explanations
 
 
 # ---------------------------------------------------------------------------

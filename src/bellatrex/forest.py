@@ -77,7 +77,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -843,9 +843,9 @@ def _grow_trees(
     samples: list[np.ndarray],
     oobs: list[np.ndarray],
     rngs: list[np.random.Generator],
-    min_split: int,
-    mtry: int,
-    max_depth: int | None,
+    min_split: np.ndarray,
+    mtry: np.ndarray,
+    max_depth: np.ndarray,
     event_grid: np.ndarray | None,
 ) -> list[Tree]:
     """Grow the trees in lockstep on index segments: the samples lie end to
@@ -858,15 +858,19 @@ def _grow_trees(
     candidate draw of the nodes that may split, one batched split search
     (``_impurity_splits``; per node ``best_split`` for survival, whose value
     and purity come from the node's event table), and a search of the
-    remaining covariates where the draw found no split.  A split node's
-    range is partitioned in place, left rows first and each side in its old
-    order; its children take its tree's next two ids, and the right child
-    is pushed first.  The ``Tree``s are built after the last step."""
+    remaining covariates where the draw found no split.  ``min_split``,
+    ``mtry`` and ``max_depth`` hold one entry per tree, so trees of several
+    forests grow in one lockstep; the nodes of each distinct mtry search as
+    one batch (drawn candidates where mtry < p, all covariates otherwise).
+    A split node's range is partitioned in place, left rows first and each
+    side in its old order; its children take its tree's next two ids, and
+    the right child is pushed first.  The ``Tree``s are built after the
+    last step."""
     p = X.shape[1]
     survival = task is TaskKind.SURVIVAL
     regression = not task.classification_like
     all_features = np.arange(p)
-    streams = _WordStreams(rngs, max(_WORDS, 4 * mtry))
+    streams = _WordStreams(rngs, max(_WORDS, 4 * int(mtry.max())))
     index = np.concatenate(samples)
     sizes = np.array([sample.size for sample in samples])
     stacks = np.zeros((len(samples), 16, 4), dtype=np.intp)  # (node id, start, stop, depth)
@@ -896,9 +900,7 @@ def _grow_trees(
         else:
             value, pure = _segment_values(Y, index, start, count)
         visits.append((trees, node, count, value))
-        may_split = ~pure & (count >= min_split)
-        if max_depth is not None:
-            may_split &= depth < max_depth
+        may_split = ~pure & (count >= min_split[trees]) & (depth < max_depth[trees])
         at = may_split.nonzero()[0]  # the step's nodes that search
         feature = np.full(trees.size, -1, dtype=np.intp)
         threshold = np.empty(trees.size)
@@ -914,16 +916,19 @@ def _grow_trees(
                 feature[at], threshold[at], _ = _impurity_splits(
                     X, keys, Y, index, start[at], count[at], cands, regression)
 
-        if at.size and mtry < p:
-            cands = _draw_candidates(streams, trees[at], p, mtry)
-            search(at, cands)
-            retry = (feature[at] < 0).nonzero()[0]
+        at_mtry = mtry[trees[at]]
+        for m in np.unique(at_mtry).tolist():
+            group = at[at_mtry == m]
+            if m == p:
+                search(group, np.broadcast_to(all_features, (group.size, p)))
+                continue
+            cands = _draw_candidates(streams, trees[group], p, m)
+            search(group, cands)
+            retry = (feature[group] < 0).nonzero()[0]
             if retry.size:
                 rest = np.ones((retry.size, p), dtype=bool)
                 rest[np.arange(retry.size)[:, None], cands[retry]] = False
-                search(at[retry], np.nonzero(rest)[1].reshape(retry.size, p - mtry))
-        elif at.size:
-            search(at, np.broadcast_to(all_features, (at.size, p)))
+                search(group[retry], np.nonzero(rest)[1].reshape(retry.size, p - m))
 
         if survival:
             for i in (feature < 0).nonzero()[0].tolist():
@@ -988,23 +993,29 @@ def _assemble_trees(task: TaskKind, samples: list[np.ndarray], oobs: list[np.nda
             for *arrays, sample, oob, km in zip(*columns, samples, oobs, leaf_km)]
 
 
-def fit_forest(train: Dataset, params: ForestParams) -> Forest:
-    """Grow ``params.n_trees`` trees on bootstrap samples of the training set.
+def fit_forests(train: Dataset, params_list: Sequence[ForestParams]) -> list[Forest]:
+    """``fit_forest`` of every listed parameter set, grown in one pool.
 
-    Tree i draws bootstrap and split candidates from an RNG stream seeded by
-    (params.seed, i).  The trees are cut into one contiguous group per
-    worker thread, and each group grows in lockstep (``_grow_trees``); a
-    tree does not depend on the group it grew in, so identical inputs give
-    bit-identical forests regardless of BELLATREX_THREADS.
+    The covariates are ranked once, and every forest's trees are drawn as
+    ``fit_forest`` draws them (tree i of a forest from its RNG stream
+    (seed, i)).  All the trees are then cut into one contiguous group per
+    worker thread, and each group grows in one lockstep (``_grow_trees``),
+    whatever forest its trees belong to.  A tree does not depend on the
+    group it grew in, so each forest is bit for bit the forest that
+    ``fit_forest`` grows alone, whatever BELLATREX_THREADS is.
     """
     if not train.preprocessed:
         raise ValueError("fit_forest expects a preprocessed Dataset")
-    if params.n_trees < 1:
-        raise ValueError("n_trees must be at least 1")
-    min_split = params.resolve_min_split(train.task)
-    mtry = params.resolve_mtry(train.task, train.p)
-    if train.n < min_split:
-        raise ValueError(f"need at least min_samples_split={min_split} training instances")
+    settings = []  # per forest: (min_split, mtry, max_depth)
+    for params in params_list:
+        if params.n_trees < 1:
+            raise ValueError("n_trees must be at least 1")
+        min_split = params.resolve_min_split(train.task)
+        mtry = params.resolve_mtry(train.task, train.p)
+        if train.n < min_split:
+            raise ValueError(f"need at least min_samples_split={min_split} training instances")
+        depth = np.iinfo(np.intp).max if params.max_depth is None else params.max_depth
+        settings.append((min_split, mtry, depth))
 
     event_grid = None
     if train.task is TaskKind.SURVIVAL:
@@ -1017,33 +1028,56 @@ def fit_forest(train: Dataset, params: ForestParams) -> Forest:
     Y = np.ascontiguousarray(train.targets, dtype=np.float64)
     n = train.n
     everything = np.arange(n)
+    # one entry per tree of the pool, forest after forest
+    jobs = [(params, i) for params in params_list for i in range(params.n_trees)]
+    per_tree = np.repeat(np.array(settings, dtype=np.intp).reshape(-1, 3),
+                         [params.n_trees for params in params_list], axis=0)
 
-    def draw(i: int) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
+    def draw(params: ForestParams, i: int) -> tuple[np.ndarray, np.ndarray, np.random.Generator]:
         rng = np.random.default_rng([params.seed, i])
         if not params.bootstrap:
             return everything, np.array([], dtype=np.int64), rng
         sample = rng.integers(0, n, size=n)
         return sample, np.setdiff1d(everything, np.unique(sample)), rng
 
-    def grow(group: range) -> list[Tree]:
-        samples, oobs, rngs = zip(*(draw(i) for i in group))
+    def grow(group: slice) -> list[Tree]:
+        samples, oobs, rngs = zip(*(draw(*job) for job in jobs[group]))
+        min_split, mtry, max_depth = per_tree[group].T
         return _grow_trees(X, keys, Y, train.task, list(samples), list(oobs), list(rngs),
-                           min_split, mtry, params.max_depth, event_grid)
+                           min_split, mtry, max_depth, event_grid)
 
-    k = min(thread_count(), params.n_trees)
-    groups = [range(params.n_trees * g // k, params.n_trees * (g + 1) // k) for g in range(k)]
+    k = min(thread_count(), len(jobs))
+    groups = [slice(len(jobs) * g // k, len(jobs) * (g + 1) // k) for g in range(k)]
     trees = [tree for group in parallel_map(grow, groups) for tree in group]
-    return Forest(
-        trees=trees,
-        task=train.task,
-        p=train.p,
-        prediction_width=train.prediction_width,
-        params=params,
-        min_samples_split=min_split,
-        mtry=mtry,
-        event_grid=event_grid,
-        covariate_names=train.covariate_names,
-    )
+    forests = []
+    for params, (min_split, mtry, _) in zip(params_list, settings):
+        own, trees = trees[:params.n_trees], trees[params.n_trees:]
+        forests.append(Forest(
+            trees=own,
+            task=train.task,
+            p=train.p,
+            prediction_width=train.prediction_width,
+            params=params,
+            min_samples_split=min_split,
+            mtry=mtry,
+            event_grid=event_grid,
+            covariate_names=train.covariate_names,
+        ))
+    return forests
+
+
+def fit_forest(train: Dataset, params: ForestParams) -> Forest:
+    """Grow ``params.n_trees`` trees on bootstrap samples of the training set.
+
+    Tree i draws bootstrap and split candidates from an RNG stream seeded by
+    (params.seed, i).  The trees are cut into one contiguous group per
+    worker thread, and each group grows in lockstep (``_grow_trees``); a
+    tree does not depend on the group it grew in, so identical inputs give
+    bit-identical forests regardless of BELLATREX_THREADS, and a forest
+    grown in a pool with others (``fit_forests``, of which this is a pool of
+    one) is identical to the forest grown alone.
+    """
+    return fit_forests(train, [params])[0]
 
 
 # ---------------------------------------------------------------------------

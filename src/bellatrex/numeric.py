@@ -174,10 +174,12 @@ class SortedRows:
     order: np.ndarray
     distinct: int
 
-    def kmeans(self, n_clusters: int, seed: int, max_iter: int = 100,
+    def kmeans(self, n_clusters: int, seed: int | np.random.Generator, max_iter: int = 100,
                inertia_trace: list | None = None) -> Clustering:
         """K-Means++ seeding (D^2 sampling) followed by Lloyd iterations until
-        the assignment reaches a fixpoint or ``max_iter`` passes.
+        the assignment reaches a fixpoint or ``max_iter`` passes.  The
+        seeding draws from ``np.random.default_rng(seed)``, which is
+        ``seed`` itself when it is a generator.
 
         ``n_clusters`` is clamped to the number of distinct rows, so the
         result never has an empty cluster.  A pass that leaves a cluster
@@ -290,10 +292,15 @@ def segment_sums(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
       row.
     """
     lengths = np.asarray(lengths, dtype=np.intp)
-    firsts = np.cumsum(lengths) - lengths
     if values.shape[1] == 1:
-        ahead = np.insert(values[:, 0], firsts, -0.0)
-        return np.add.reduceat(ahead, firsts + np.arange(lengths.size))[:, None] + 0.0
+        # segment i starts at heads[i] of ``ahead``, with its -0.0 there
+        heads = np.cumsum(lengths) - lengths + np.arange(lengths.size)
+        ahead = np.empty(values.shape[0] + lengths.size)
+        ahead[heads] = -0.0
+        real = np.ones(ahead.size, dtype=bool)
+        real[heads] = False
+        ahead[real] = values[:, 0]
+        return np.add.reduceat(ahead, heads)[:, None] + 0.0
     real = np.arange(int(lengths.max())) < lengths[:, None]
     block = np.zeros(real.shape + values.shape[1:])
     block[real] = values

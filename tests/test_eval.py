@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,12 +13,13 @@ from bellatrex.evaluation import (
     aggregate_reports,
     baseline_oob_trees,
     baseline_small_rf,
+    benchmark_json,
     benchmark_tsv,
     performance_metric,
     run_ablation,
     run_benchmark,
 )
-from bellatrex.explain import TuningGrid
+from bellatrex.explain import MODE_SIMPLE, TuningGrid
 from bellatrex.forest import ForestParams, fit_forest, forest_predict
 from bellatrex.metrics import (
     DECISION_LIST,
@@ -29,7 +32,13 @@ from bellatrex.metrics import (
     mae,
     weighted_auroc,
 )
-from bellatrex.synthdata import make_binary, make_multilabel, make_survival
+from bellatrex.synthdata import (
+    make_binary,
+    make_multilabel,
+    make_multitarget,
+    make_regression,
+    make_survival,
+)
 
 from conftest import leaf_tree, make_forest
 
@@ -374,3 +383,72 @@ def test_run_benchmark_survival_smoke():
     rows, reports = run_benchmark(ds, "surv", config)
     perf = {rep.method: rep.performance for rep in reports}
     assert perf["rf"] is not None and 0.0 <= perf["rf"] <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# Pooled fits and batched explanations against the one-at-a-time loop
+# ---------------------------------------------------------------------------
+
+REFERENCE_DATA = {
+    "binary": lambda: make_binary(70, 4, seed=41),
+    "regression": lambda: make_regression(70, 4, seed=42),
+    "multitarget": lambda: make_multitarget(70, 4, 2, seed=43),
+    "multilabel": lambda: make_multilabel(70, 4, 2, seed=44),
+    "survival": lambda: make_survival(80, 4, seed=45),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "3"])
+@pytest.mark.parametrize("kind", sorted(REFERENCE_DATA))
+def test_reports_equal_the_one_at_a_time_loop(kind, threads, monkeypatch):
+    import fold_reference
+
+    monkeypatch.setenv("BELLATREX_THREADS", threads)
+    ds = REFERENCE_DATA[kind]()
+    configs = [
+        BenchmarkConfig(folds=2, max_test=5, seed=7, params=ForestParams(n_trees=9),
+                        grid=TuningGrid(taus=(4, 9), dims=(2, None), ks=(1, 2, 3))),
+        # K = 4 clamps to the distinct rule vectors of two-tree taus, a
+        # chosen K outside the grid
+        BenchmarkConfig(folds=2, max_test=4, seed=8, modes=(MODE_SIMPLE,),
+                        params=ForestParams(n_trees=6, max_depth=1),
+                        grid=TuningGrid(taus=(4, 6), dims=(1,), ks=(2, 4))),
+    ]
+    for config in configs:
+        got = run_benchmark(ds, kind, config)
+        expected = fold_reference.run_benchmark(ds, kind, config)
+        assert benchmark_tsv(*got) == benchmark_tsv(*expected)
+        assert json.dumps(benchmark_json(*got)) == json.dumps(benchmark_json(*expected))
+        assert run_ablation(ds, kind, config) == fold_reference.run_ablation(ds, kind, config)
+
+
+def test_clamped_k_outside_the_grid_is_covered():
+    # the second reference configuration above reaches a Small RF fitted on
+    # demand: a chosen K that the grid does not list
+    ds = REFERENCE_DATA["regression"]()
+    config = BenchmarkConfig(folds=2, max_test=4, seed=8, modes=(MODE_SIMPLE,),
+                             params=ForestParams(n_trees=6, max_depth=1),
+                             grid=TuningGrid(taus=(4, 6), dims=(1,), ks=(2, 4)))
+    rows, _ = run_benchmark(ds, "d", config)
+    assert any(r["mean_rules"] not in (2.0, 4.0) for r in rows if r["method"] == "small-rf")
+
+
+@pytest.mark.parametrize("modes", [(), ("bogus",), ("weighted", "weighted"),
+                                   ("simple", "weighted", "simple")])
+def test_config_rejects_bad_modes(modes):
+    with pytest.raises(ValueError):
+        BenchmarkConfig(modes=modes)
+
+
+@pytest.mark.parametrize("run", [run_benchmark, run_ablation])
+def test_grid_checked_before_any_forest_grows(run, monkeypatch):
+    import bellatrex.forest as forest_mod
+
+    grown = []
+    monkeypatch.setattr(forest_mod, "_grow_trees", lambda *a, **k: grown.append(1))
+    ds = make_binary(40, 3, seed=2)
+    config = BenchmarkConfig(folds=2, max_test=3, params=ForestParams(n_trees=5),
+                             grid=TuningGrid(taus=(3, 6), dims=(2,), ks=(1,)))
+    with pytest.raises(ValueError, match="tau"):
+        run(ds, "d", config)
+    assert not grown

@@ -258,11 +258,11 @@ def test_tune_derives_seeds_only_for_multi_cluster_cells(monkeypatch):
     grid = TuningGrid(taus=(5, 10, 20), dims=(2, None), ks=(1, 2, 3))
     calls = []
 
-    def counted(*parts):
-        calls.append(parts)
-        return derive_seed(*parts)
+    def counted(parts):
+        calls.extend(tuple(p) for p in parts)
+        return [derive_seed(*p) for p in parts]
 
-    monkeypatch.setattr(explain_mod, "derive_seed", counted)
+    monkeypatch.setattr(explain_mod, "derive_seeds", counted)
     tune_and_explain(forest, ds.covariates[4], grid, seed=9)
     # cells are numbered in grid order whether or not they take a seed
     assert calls == [(9, idx) for idx, (_, _, k) in enumerate(grid.cells()) if k > 1]

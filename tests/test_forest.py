@@ -26,6 +26,7 @@ from bellatrex.forest import (
     best_split,
     decision_path,
     fit_forest,
+    fit_forests,
     forest_from_dict,
     forest_predict,
     forest_to_dict,
@@ -954,6 +955,46 @@ def test_fit_thread_independent(monkeypatch):
             monkeypatch.setenv("BELLATREX_THREADS", threads)
             forests.append(_fit_json(ds, ForestParams(n_trees=5, seed=7)))
         assert forests[1:] == forests[:1] * 3
+
+
+POOL_DATA = {
+    "binary": lambda: make_binary(70, 5, seed=51),
+    "regression": lambda: make_regression(70, 5, seed=52),
+    "multitarget": lambda: make_multitarget(70, 5, 3, seed=53),
+    "multilabel": lambda: make_multilabel(70, 5, 3, seed=54),
+    "survival": lambda: make_survival(80, 5, seed=55),
+}
+
+
+@pytest.mark.parametrize("threads", ["1", "3"])
+@pytest.mark.parametrize("kind", sorted(POOL_DATA))
+def test_pooled_forests_equal_forests_fitted_alone(kind, threads, monkeypatch):
+    # one lockstep for forests of 1 to 100 trees, with and without
+    # bootstrap, drawn (mtry < p) and full (mtry = p) candidates and a
+    # depth limit; each is the forest that fit_forest grows alone
+    monkeypatch.setenv("BELLATREX_THREADS", threads)
+    ds = POOL_DATA[kind]()
+    pool = [
+        ForestParams(n_trees=100, seed=3),
+        ForestParams(n_trees=1, seed=4, bootstrap=False, mtry=ds.p),
+        ForestParams(n_trees=2, seed=5, mtry=1, max_depth=2),
+        ForestParams(n_trees=3, seed=6, mtry=ds.p, min_samples_split=12),
+        ForestParams(n_trees=1, seed=7, bootstrap=False, max_depth=0),
+    ]
+    pooled = [json.dumps(forest_to_dict(f)) for f in fit_forests(ds, pool)]
+    assert pooled == [_fit_json(ds, params) for params in pool]
+    assert fit_forests(ds, []) == []
+
+
+def test_pool_checks_every_parameter_set_before_growing(monkeypatch):
+    grown = []
+    monkeypatch.setattr(forest_mod, "_grow_trees", lambda *a, **k: grown.append(1))
+    ds = make_binary(40, 3, seed=1)
+    with pytest.raises(ValueError, match="n_trees"):
+        fit_forests(ds, [ForestParams(n_trees=3), ForestParams(n_trees=0)])
+    with pytest.raises(ValueError, match="mtry"):
+        fit_forests(ds, [ForestParams(n_trees=3), ForestParams(mtry=4)])
+    assert not grown
 
 
 @pytest.mark.parametrize("make", [lambda: make_binary(90, 5, seed=8),

@@ -13,6 +13,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 
+# The digest of each workload's first forest, explanation or report at
+# these sizes and this seed, the same at any BELLATREX_THREADS.  A change
+# that moves any of them is no longer byte-identical to the code that set
+# these values.
+PINNED_DIGESTS = {
+    "explain-binary": "a890372f78e2b58a",
+    "train-survival": "777bb5ac9f146dc0",
+    "desk-regression": "d5303cd28e2ddae5",
+}
+
 
 def test_benchmark_run_ends_with_a_full_result_line():
     done = subprocess.run(
@@ -25,6 +35,9 @@ def test_benchmark_run_ends_with_a_full_result_line():
                         parse_constant=_refuse_constant)
     assert result["correct"] is True
     assert result["failed"] == 0
+    digests = dict(line.split()[1:] for line in done.stdout.splitlines()
+                   if line.startswith("digest "))
+    assert digests == PINNED_DIGESTS
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     expected = {f"{workload['name']}/{metric['name']}"
                 for workload in declared["workloads"] for metric in declared["end_to_end"]}
