@@ -35,7 +35,6 @@ from .explain import (
     AblationFlags,
     Explanation,
     FinalRule,
-    RuleVector,
     TuningGrid,
     explain_batch,
     explain_fixed,
@@ -44,7 +43,6 @@ from .explain import (
     render_json,
     render_text,
     tune_and_explain,
-    vectorize,
 )
 from .forest import (
     Forest,
@@ -56,12 +54,10 @@ from .forest import (
     fit_forest,
     fit_forests,
     forest_predict,
-    gini,
     load_forest,
     oob_errors,
     save_forest,
     tree_predict,
-    variance_reduction,
 )
 from .metrics import (
     auroc,
@@ -83,7 +79,6 @@ from .evaluation import (
     BenchmarkConfig,
     MetricReport,
     baseline_oob_trees,
-    baseline_small_rf,
     run_ablation,
     run_benchmark,
 )

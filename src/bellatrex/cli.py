@@ -29,10 +29,10 @@ from .explain import (
     AblationFlags,
     TuningGrid,
     derive_seed,
+    explain_batch,
     plot_tsv,
     render_json_text,
     render_text,
-    tune_and_explain,
 )
 from .forest import ForestParams, fit_forest, load_forest, oob_errors, save_forest
 
@@ -184,12 +184,10 @@ def cmd_explain(args) -> None:
     flags = AblationFlags(skip_preselection=args.no_preselect,
                           skip_projection=args.no_pca)
     out = _out_dir(args)
-    for row in _select_instances(args, ds):
-        x = ds.covariates[row]
-        explanation = tune_and_explain(
-            forest, x, grid, args.mode, flags=flags,
-            seed=derive_seed(args.seed, 909, row),
-        )
+    rows = _select_instances(args, ds)
+    explanations = explain_batch(forest, ds.covariates[rows], grid, args.mode, flags,
+                                 [derive_seed(args.seed, 909, row) for row in rows])
+    for row, explanation in zip(rows, explanations):
         stem = out / f"instance_{row}"
         stem.with_suffix(".txt").write_text(
             render_text(explanation, ds.covariate_names, forest))

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from ._parallel import parallel_map, thread_count
-from .data import Dataset, TaskKind, kfold, scale_targets
+from .data import Dataset, kfold, scale_targets
 from .errors import UndefinedMetricError
 from .explain import (
     MODE_SIMPLE,
@@ -26,21 +26,19 @@ from .explain import (
     TuningGrid,
     derive_seed,
     explain_batch,
-    rule_vectors,
+    path_vectors,
 )
 from .forest import (
     Forest,
     ForestParams,
-    fit_forest,
     fit_forests,
-    forest_predict,
     forest_predict_batch,
-    node_path,
+    leaf_mean,
     oob_errors,
-    tree_predict,
+    route,
+    route_batch,
 )
-from .metrics import auroc, dissimilarity, mae, weighted_auroc
-from .survival import concordance_index
+from .metrics import dissimilarity, performance_metric
 
 log = logging.getLogger(__name__)
 
@@ -93,35 +91,9 @@ class MetricReport:
     folds: int
 
 
-def performance_metric(task: TaskKind, preds: np.ndarray, test: Dataset) -> float:
-    """Task metric: AUROC, weighted AUROC, MAE or C-index."""
-    if task is TaskKind.BINARY:
-        return auroc(preds[:, 0], test.targets[:, 0])
-    if task is TaskKind.REGRESSION:
-        return mae(preds[:, 0], test.targets[:, 0])
-    if task is TaskKind.MULTI_TARGET:
-        return mae(preds, test.targets)
-    if task is TaskKind.MULTI_LABEL:
-        return weighted_auroc(preds, test.targets)
-    if task is TaskKind.SURVIVAL:
-        return concordance_index(preds[:, 0], test.times, test.events)
-    raise AssertionError(task)
-
-
-def higher_is_better(task: TaskKind) -> bool:
-    return task not in (TaskKind.REGRESSION, TaskKind.MULTI_TARGET)
-
-
 # ---------------------------------------------------------------------------
 # Baselines
 # ---------------------------------------------------------------------------
-
-def baseline_small_rf(train: Dataset, x: np.ndarray, n_rules: int,
-                      params: ForestParams) -> np.ndarray:
-    """Prediction of a freshly trained forest with only ``n_rules`` trees."""
-    small = fit_forest(train, replace(params, n_trees=n_rules))
-    return forest_predict(small, x)
-
 
 def baseline_oob_trees(forest: Forest, oob_errs: np.ndarray, x: np.ndarray,
                        n_rules: int) -> np.ndarray:
@@ -130,23 +102,18 @@ def baseline_oob_trees(forest: Forest, oob_errs: np.ndarray, x: np.ndarray,
     if n_rules < 1:
         raise ValueError("need at least one tree")
     chosen = np.argsort(oob_errs, kind="stable")[:n_rules]
-    return np.mean([tree_predict(forest.trees[int(i)], x) for i in chosen], axis=0)
+    return np.mean(forest.arena.node_pred[route(forest, x)[-1, chosen]], axis=0)
 
 
-def _weighted_vectors(forest: Forest, tree_indices, x: np.ndarray) -> np.ndarray:
-    trees = [forest.trees[int(i)] for i in tree_indices]
-    return rule_vectors(trees, [node_path(tree, x) for tree in trees], MODE_WEIGHTED, forest.p)
-
-
-def _final_rule_vectors(forest: Forest, explanation: Explanation) -> np.ndarray:
-    rules = explanation.final_rules
-    return rule_vectors([forest.trees[r.tree_index] for r in rules],
-                        [[step.node_id for step in r.steps] for r in rules],
-                        explanation.mode, forest.p)
-
-
-def _paths_complexity(forest: Forest, tree_indices, x: np.ndarray) -> int:
-    return sum(len(node_path(forest.trees[int(i)], x)) - 1 for i in tree_indices)
+def _paths_outcome(forest: Forest, paths: np.ndarray) -> tuple[float, float | None]:
+    """(complexity, dissimilarity) of the rules whose paths are the rows of
+    ``paths`` (arena node ids, see ``path_vectors``): the number of split
+    nodes on all of them, and the dissimilarity of their weighted rule
+    vectors (None for a single rule)."""
+    complexity = float(np.count_nonzero(forest.arena.is_split[paths]))
+    if paths.shape[0] < 2:
+        return complexity, None
+    return complexity, dissimilarity(path_vectors(forest.arena, paths, MODE_WEIGHTED, forest.p))
 
 
 # ---------------------------------------------------------------------------
@@ -231,8 +198,11 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
     small_cache = dict(zip(grid_ks, smalls))
     X_test = test.covariates
 
+    # X_test is routed once through the fold forest and once through each
+    # needed Small RF; every baseline below is a gather from those routes
+    levels = route_batch(forest, X_test)  # (depth + 1, rows, trees)
     outcomes: list[_FoldOutcome] = []
-    rf_preds = forest_predict_batch(forest, X_test)
+    rf_preds = leaf_mean(forest, levels[-1])
     outcomes.append(_FoldOutcome(
         METHOD_RF,
         _fold_performance(ds.task, rf_preds, test, name, METHOD_RF, fold),
@@ -254,8 +224,7 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
         preds = np.vstack([e.surrogate for e in expl])
         perf = _fold_performance(ds.task, preds, test, name, method, fold)
         complexity_vals = [float(sum(e.rule_lengths)) for e in expl]
-        dissim_vals = [dissimilarity(_final_rule_vectors(forest, e))
-                       for e in expl if e.chosen_k >= 2]
+        dissim_vals = [dissimilarity(e.final_vectors()) for e in expl if e.chosen_k >= 2]
         outcomes.append(_FoldOutcome(
             method,
             perf,
@@ -272,41 +241,31 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
     if clamped:
         small_cache.update(zip(clamped, fit_forests(
             train, [_small_rf_params(config, fold, k) for k in clamped])))
-    small_preds = np.vstack([
-        forest_predict(small_cache[ks[i]], X_test[i]) for i in range(m)
-    ])
-    small_complexity = []
-    small_dissim = []
-    for i in range(m):
-        small = small_cache[ks[i]]
-        indices = range(small.n_trees)
-        small_complexity.append(float(_paths_complexity(small, indices, X_test[i])))
-        if ks[i] >= 2:
-            small_dissim.append(dissimilarity(_weighted_vectors(small, indices, X_test[i])))
+    small_levels = {k: route_batch(small_cache[k], X_test) for k in sorted(set(ks))}
+    small_means = {k: leaf_mean(small_cache[k], small_levels[k][-1]) for k in small_levels}
+    small_outcomes = [_paths_outcome(small_cache[ks[i]], small_levels[ks[i]][:, i].T)
+                      for i in range(m)]
     outcomes.append(_FoldOutcome(
         METHOD_SMALL_RF,
-        _fold_performance(ds.task, small_preds, test, name, METHOD_SMALL_RF, fold),
-        complexity=_mean_or_none(small_complexity),
-        dissim=_mean_or_none(small_dissim),
+        _fold_performance(ds.task, np.vstack([small_means[ks[i]][i] for i in range(m)]),
+                          test, name, METHOD_SMALL_RF, fold),
+        complexity=_mean_or_none([c for c, _ in small_outcomes]),
+        dissim=_mean_or_none([d for _, d in small_outcomes]),
         mean_rules=float(np.mean(ks)),
     ))
 
-    errs = oob_errors(forest, train)
-    err_order = np.argsort(errs, kind="stable")
+    err_order = np.argsort(oob_errors(forest, train), kind="stable")
     oob_preds = []
-    oob_complexity = []
-    oob_dissim = []
+    oob_outcomes = []
     for i in range(m):
         chosen = err_order[: ks[i]]
-        oob_preds.append(baseline_oob_trees(forest, errs, X_test[i], ks[i]))
-        oob_complexity.append(float(_paths_complexity(forest, chosen, X_test[i])))
-        if ks[i] >= 2:
-            oob_dissim.append(dissimilarity(_weighted_vectors(forest, chosen, X_test[i])))
+        oob_preds.append(np.mean(forest.arena.node_pred[levels[-1, i, chosen]], axis=0))
+        oob_outcomes.append(_paths_outcome(forest, levels[:, i, chosen].T))
     outcomes.append(_FoldOutcome(
         METHOD_OOB_TREES,
         _fold_performance(ds.task, np.vstack(oob_preds), test, name, METHOD_OOB_TREES, fold),
-        complexity=_mean_or_none(oob_complexity),
-        dissim=_mean_or_none(oob_dissim),
+        complexity=_mean_or_none([c for c, _ in oob_outcomes]),
+        dissim=_mean_or_none([d for _, d in oob_outcomes]),
         mean_rules=float(np.mean(ks)),
     ))
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from ._seeds import derive_seeds, generator_keys, keyed_generator
 from .data import TaskKind
-from .forest import Forest, PathStep, node_path, path_length, path_steps, route, tree_leaf_km
+from .forest import Forest, NodeArena, PathStep, path_length, path_steps, route
 from .numeric import (
     Clustering,
     identity_projection,
@@ -38,16 +38,6 @@ NO_PROJECTION = None  # grid value meaning "identity projection"
 def derive_seed(*parts: int) -> int:
     """Stable child seed from integer parts (order-sensitive)."""
     return int(np.random.SeedSequence(list(parts)).generate_state(1)[0])
-
-
-@dataclass(frozen=True)
-class RuleVector:
-    """Length-p vector of one decision path: per-covariate split counts
-    (simple) or sums of node sample fractions (weighted)."""
-
-    values: np.ndarray
-    mode: str
-    tree_index: int
 
 
 @dataclass(frozen=True)
@@ -117,6 +107,16 @@ class Explanation:
     def rule_lengths(self) -> list[int]:
         return [r.length for r in self.final_rules]
 
+    def final_vectors(self) -> np.ndarray:
+        """(K, p) rule vectors of the final rules in the explanation's mode,
+        from their steps."""
+        steps = [step for rule in self.final_rules for step in rule.steps[:-1]]
+        return _count_vectors(
+            np.repeat(np.arange(len(self.final_rules)), self.rule_lengths),
+            np.array([step.feature for step in steps], dtype=np.intp),
+            np.array([step.sample_fraction for step in steps], dtype=np.float64),
+            len(self.final_rules), self.mode, self.instance.size)
+
 
 def _check_tau(forest: Forest, tau: int) -> None:
     if not 1 <= tau <= forest.n_trees:
@@ -157,25 +157,13 @@ def preselect(forest: Forest, x: np.ndarray, tau: int) -> np.ndarray:
     return _route(forest, x).order[:tau]
 
 
-def rule_vectors(trees, paths, mode: str, p: int) -> np.ndarray:
-    """(len(paths), p) matrix whose row i is the rule vector of node path
-    ``paths[i]`` through ``trees[i]``: per-covariate split counts (simple)
-    or sums of split-node sample fractions (weighted).
-
-    np.bincount adds each covariate's terms one by one in root-to-leaf
-    order, so every entry is the same float as a running sum along the path.
-    """
-    splits = [path[:-1] for path in paths]
-    rows = np.repeat(np.arange(len(paths)), [len(s) for s in splits])
-    features = np.concatenate([tree.feature[s] for tree, s in zip(trees, splits)])
-    fractions = np.concatenate([tree.sample_fraction[s] for tree, s in zip(trees, splits)])
-    return _count_vectors(rows, features, fractions, len(paths), mode, p)
-
-
 def _count_vectors(rows: np.ndarray, features: np.ndarray, fractions: np.ndarray,
                    n: int, mode: str, p: int) -> np.ndarray:
     """(n, p) rule vectors from the split steps of n paths, listed path after
-    path and root to leaf within a path."""
+    path and root to leaf within a path: per-covariate split counts (simple)
+    or sums of split-node sample fractions (weighted).  np.bincount adds
+    each covariate's terms one by one in root-to-leaf order, so every entry
+    is the same float as a running sum along the path."""
     if mode not in (MODE_SIMPLE, MODE_WEIGHTED):
         raise ValueError(f"unknown vectorization mode {mode!r}")
     bins = rows * p + features.astype(np.intp, copy=False)
@@ -184,22 +172,14 @@ def _count_vectors(rows: np.ndarray, features: np.ndarray, fractions: np.ndarray
     return counts.reshape(n, p).astype(np.float64, copy=False)
 
 
-def vectorize(tree, x: np.ndarray, mode: str) -> RuleVector:
-    """Rule vector of the decision path of x through one tree."""
-    values = rule_vectors([tree], [node_path(tree, x)], mode, int(x.shape[0]))[0]
-    return RuleVector(values=values, mode=mode, tree_index=-1)
-
-
-def _selected_vectors(forest: Forest, routes: _Routes, selected: np.ndarray,
-                      mode: str) -> np.ndarray:
-    """``rule_vectors`` of the selected trees' paths, gathered from the
-    routed level matrix."""
-    arena = forest.arena
-    nodes = routes.levels[:, selected].T  # one row per path, root first
-    split = arena.is_split[nodes]
-    steps = nodes[split]
+def path_vectors(arena: NodeArena, paths: np.ndarray, mode: str, p: int) -> np.ndarray:
+    """Rule vectors of the paths that are the rows of ``paths``: arena node
+    ids from the root, each path's leaf repeated to the row's end (columns
+    of a ``route`` level matrix)."""
+    split = arena.is_split[paths]
+    steps = paths[split]
     return _count_vectors(np.nonzero(split)[0], arena.feature[steps],
-                          arena.sample_fraction[steps], selected.size, mode, forest.p)
+                          arena.sample_fraction[steps], paths.shape[0], mode, p)
 
 
 @dataclass(frozen=True)
@@ -282,7 +262,7 @@ def explain_fixed(
         raise ValueError("need 1 <= K <= tau")
     routes = _route(forest, x)
     selected = routes.order[:tau]
-    vectors = _selected_vectors(forest, routes, selected, mode)
+    vectors = path_vectors(forest.arena, routes.levels[:, selected].T, mode, forest.p)
     if dim is None:
         projection = identity_projection(forest.p)
     else:
@@ -362,7 +342,8 @@ def explain_batch(
     for x, mode_i, arm in zip(X, modes, arms):
         taus, dims = axes[arm]
         routes = _route(forest, x)
-        stacked = _selected_vectors(forest, routes, routes.order[:max(taus)], mode_i)
+        stacked = path_vectors(forest.arena, routes.levels[:, routes.order[:max(taus)]].T,
+                               mode_i, forest.p)
         best: tuple | None = None
         best_key: tuple | None = None
         for tau in taus:
@@ -447,7 +428,7 @@ def render_text(explanation: Explanation, names: tuple[str, ...] | None = None,
         out.append("")
         out.extend(_rule_lines(rule, i, names, explanation.instance))
         if forest is not None and forest.task is TaskKind.SURVIVAL:
-            km = tree_leaf_km(forest.trees[rule.tree_index], explanation.instance)
+            km = forest.trees[rule.tree_index].leaf_km.get(rule.steps[-1].node_id)
             if km is not None and km.times.size:
                 points = ", ".join(
                     f"S({_fmt_value(t)})={v:.3f}" for t, v in zip(km.times, km.values)
@@ -493,7 +474,7 @@ def render_json(explanation: Explanation, names: tuple[str, ...] | None = None,
             "steps": steps,
         }
         if forest is not None and forest.task is TaskKind.SURVIVAL:
-            km = tree_leaf_km(forest.trees[rule.tree_index], explanation.instance)
+            km = forest.trees[rule.tree_index].leaf_km.get(rule.steps[-1].node_id)
             if km is not None:
                 entry["km_times"] = km.times.tolist()
                 entry["km_values"] = km.values.tolist()

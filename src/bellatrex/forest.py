@@ -67,9 +67,16 @@ the node's best is ranked again by the exact formula, except the cuts that
 an integer test proves to have zero variance (``_zero_variance_cuts``),
 which score 0.  The forest does not depend on the faster arithmetic.
 
-The explainer routes an instance through all trees at once (``route``) over
-the forest's stacked node arrays (``Forest.arena``, built on first use);
-``node_path`` is the tree-by-tree walk that it must agree with.
+Rows are routed by one kernel (``_descend``) over the forest's stacked node
+arrays (``Forest.arena``, built on first use): it walks many (row, tree)
+pairs down the arena one level at a time.  Path readers keep every level
+(``route_batch``, and ``route`` for one row: the explainer and the fold
+baselines); leaf readers keep the last level, routed ``_STEP_ROWS`` pairs
+at a time (``route_leaves``: ``forest_predict_batch`` and ``oob_errors``).
+Predictions and errors are then gathers from those node ids.  ``node_path``
+is the tree-by-tree reference walk that the kernel must agree with;
+``tree_predict``, ``forest_predict``, ``all_tree_predictions`` and
+``decision_path`` are built on it and serve as per-row oracles.
 """
 from __future__ import annotations
 
@@ -77,16 +84,16 @@ import json
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
 from ._parallel import parallel_map, thread_count
 from .data import Dataset, TaskKind
 from .errors import ForestFileError, UndefinedMetricError
-from .metrics import auroc, mae, weighted_auroc
+from .metrics import higher_is_better, performance_metric
 from .numeric import segment_sums
-from .survival import StepFunction, concordance_index, product_limit
+from .survival import StepFunction, product_limit
 
 _MIN_GAIN = 1e-12
 
@@ -250,32 +257,6 @@ class Forest:
 # ---------------------------------------------------------------------------
 # Splitting criteria
 # ---------------------------------------------------------------------------
-
-def gini(labels) -> float:
-    """Binary Gini impurity 2q(1-q) for positive fraction q."""
-    labels = np.asarray(labels, dtype=np.float64)
-    if labels.size == 0:
-        raise ValueError("gini of an empty node")
-    q = float(labels.mean())
-    return 2.0 * q * (1.0 - q)
-
-
-def variance_reduction(parent, left, right) -> float:
-    """Mean over targets of Var(parent) - (nL/n)Var(left) - (nR/n)Var(right),
-    population variances."""
-    parent = np.atleast_2d(np.asarray(parent, dtype=np.float64).T).T
-    left = np.atleast_2d(np.asarray(left, dtype=np.float64).T).T
-    right = np.atleast_2d(np.asarray(right, dtype=np.float64).T).T
-    n, n_l, n_r = parent.shape[0], left.shape[0], right.shape[0]
-    if n_l + n_r != n:
-        raise ValueError("left and right must partition parent")
-    reduction = (
-        parent.var(axis=0)
-        - (n_l / n) * left.var(axis=0)
-        - (n_r / n) * right.var(axis=0)
-    )
-    return float(reduction.mean())
-
 
 def best_split(
     X: np.ndarray,
@@ -794,7 +775,8 @@ def _draw_candidates(streams: _WordStreams, trees: np.ndarray, p: int, mtry: int
 # Most rows that one lockstep step takes (at least one node): the step's
 # arrays hold one entry per row, and a forest's first steps would otherwise
 # take every tree's whole sample at once.  A node's result does not depend
-# on the step it is taken in.
+# on the step it is taken in.  Leaf-only routing (``route_leaves``) walks
+# at most this many (row, tree) pairs at once, for the same reason.
 _STEP_ROWS = 16384
 
 
@@ -1084,37 +1066,66 @@ def fit_forest(train: Dataset, params: ForestParams) -> Forest:
 # Prediction and paths
 # ---------------------------------------------------------------------------
 
-def apply(tree: Tree, X: np.ndarray) -> np.ndarray:
-    """Leaf id reached by every row of X (vectorized routing)."""
-    X = np.atleast_2d(X)
-    idx = np.zeros(X.shape[0], dtype=np.int64)
-    active = np.flatnonzero(tree.feature[idx] >= 0)
-    while active.size:
-        nodes = idx[active]
-        go_left = X[active, tree.feature[nodes]] <= tree.threshold[nodes]
-        idx[active] = np.where(go_left, tree.left[nodes], tree.right[nodes])
-        active = active[tree.feature[idx[active]] >= 0]
-    return idx
+def _descend(arena: NodeArena, X: np.ndarray, rows: np.ndarray,
+             node: np.ndarray) -> Iterator[np.ndarray]:
+    """The arena nodes that the pairs (row ``rows[i]`` of X, start node
+    ``node[i]``) visit, one level at a time: ``node`` itself, then each
+    pair's child, until every pair is at a leaf.  A leaf is its own child
+    in the arena, so a pair that reached its leaf early repeats it."""
+    yield node
+    while arena.is_split[node].any():
+        node = np.where(X[rows, arena.feature[node]] <= arena.threshold[node],
+                        arena.left[node], arena.right[node])
+        yield node
+
+
+def route_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
+    """Arena node ids that every row of X visits in every tree: entry
+    (r, i, t) of the (levels, n_rows, n_trees) result is the node of row i
+    at depth r of tree t, and a tree whose leaf lies above depth r repeats
+    its leaf."""
+    arena = forest.arena
+    n = X.shape[0]
+    rows = np.repeat(np.arange(n), forest.n_trees)
+    levels = np.vstack(list(_descend(arena, X, rows, np.tile(arena.roots, n))))
+    return levels.reshape(-1, n, forest.n_trees)
+
+
+def route(forest: Forest, x: np.ndarray) -> np.ndarray:
+    """``route_batch`` of one instance: the (levels, n_trees) arena node ids
+    that x visits in every tree."""
+    return route_batch(forest, x[None, :])[:, 0]
+
+
+def route_leaves(forest: Forest, X: np.ndarray, rows: np.ndarray,
+                 trees: np.ndarray) -> np.ndarray:
+    """Arena leaf that row ``rows[i]`` of X reaches in tree ``trees[i]``,
+    for every i.  The pairs are routed ``_STEP_ROWS`` at a time, so the
+    walk's memory does not grow with their number."""
+    arena = forest.arena
+    leaves = np.empty(rows.size, dtype=np.intp)
+    for lo in range(0, rows.size, _STEP_ROWS):
+        block = slice(lo, lo + _STEP_ROWS)
+        for node in _descend(arena, X, rows[block], arena.roots[trees[block]]):
+            pass  # only the last level, each pair's leaf, is kept
+        leaves[block] = node
+    return leaves
+
+
+def leaf_mean(forest: Forest, leaves: np.ndarray) -> np.ndarray:
+    """Forest prediction of the rows whose leaves in the trees, in tree
+    order, are the rows of ``leaves`` (arena ids): the leaf predictions
+    added in tree order to a zero total, then divided by the number of
+    trees, bit for bit ``forest_predict``."""
+    total = np.zeros((leaves.shape[0], forest.prediction_width))
+    for column in leaves.T:
+        total += forest.arena.node_pred[column]
+    return total / forest.n_trees
 
 
 def tree_predict(tree: Tree, x: np.ndarray) -> np.ndarray:
     """Leaf prototype for one instance: shape (w,)."""
-    feature, threshold = tree.feature, tree.threshold
-    left, right = tree.left, tree.right
-    node = 0
-    while feature[node] >= 0:
-        node = left[node] if x[feature[node]] <= threshold[node] else right[node]
-    return tree.node_pred[node]
-
-
-def tree_predict_batch(tree: Tree, X: np.ndarray) -> np.ndarray:
-    return tree.node_pred[apply(tree, X)]
-
-
-def tree_leaf_km(tree: Tree, x: np.ndarray) -> StepFunction | None:
-    """Kaplan-Meier curve of the leaf reached by x (survival trees only)."""
-    leaf = int(apply(tree, x[None, :])[0])
-    return tree.leaf_km.get(leaf)
+    return tree.node_pred[node_path(tree, x)[-1]]
 
 
 def forest_predict(forest: Forest, x: np.ndarray) -> np.ndarray:
@@ -1127,30 +1138,22 @@ def forest_predict(forest: Forest, x: np.ndarray) -> np.ndarray:
 
 
 def forest_predict_batch(forest: Forest, X: np.ndarray) -> np.ndarray:
-    total = np.zeros((X.shape[0], forest.prediction_width))
-    for tree in forest.trees:
-        total += tree_predict_batch(tree, X)
-    return total / forest.n_trees
+    """``forest_predict`` of every row of X, bit for bit (``leaf_mean``),
+    routed a block of at most ``_STEP_ROWS`` (row, tree) pairs at a time."""
+    n, n_trees = X.shape[0], forest.n_trees
+    preds = np.empty((n, forest.prediction_width))
+    step = max(1, _STEP_ROWS // n_trees)
+    trees = np.arange(n_trees)
+    for lo in range(0, n, step):
+        rows = np.arange(lo, min(lo + step, n))
+        leaves = route_leaves(forest, X, np.repeat(rows, n_trees), np.tile(trees, rows.size))
+        preds[lo:lo + step] = leaf_mean(forest, leaves.reshape(rows.size, n_trees))
+    return preds
 
 
 def all_tree_predictions(forest: Forest, x: np.ndarray) -> np.ndarray:
     """(n_trees, w) matrix of every tree's prediction for one instance."""
     return np.vstack([tree_predict(tree, x) for tree in forest.trees])
-
-
-def route(forest: Forest, x: np.ndarray) -> np.ndarray:
-    """Arena node ids that x visits in every tree, one level at a time until
-    every tree has reached its leaf: row r of the (levels, n_trees) result
-    holds each tree's node at depth r, and a tree whose leaf lies above
-    depth r repeats its leaf."""
-    arena = forest.arena
-    node = arena.roots
-    levels = [node]
-    while arena.is_split[node].any():
-        node = np.where(x[arena.feature[node]] <= arena.threshold[node],
-                        arena.left[node], arena.right[node])
-        levels.append(node)
-    return np.vstack(levels)
 
 
 def node_path(tree: Tree, x: np.ndarray) -> list[int]:
@@ -1207,33 +1210,25 @@ def path_length(steps: list[PathStep]) -> int:
 # Out-of-bag errors
 # ---------------------------------------------------------------------------
 
-def _error_for_task(task: TaskKind, preds: np.ndarray, ds: Dataset, rows: np.ndarray) -> float:
-    if task is TaskKind.BINARY:
-        return 1.0 - auroc(preds[:, 0], ds.targets[rows, 0])
-    if task is TaskKind.REGRESSION:
-        return mae(preds[:, 0], ds.targets[rows, 0])
-    if task is TaskKind.MULTI_TARGET:
-        return mae(preds, ds.targets[rows])
-    if task is TaskKind.MULTI_LABEL:
-        return 1.0 - weighted_auroc(preds, ds.targets[rows])
-    if task is TaskKind.SURVIVAL:
-        return 1.0 - concordance_index(preds[:, 0], ds.times[rows], ds.events[rows])
-    raise AssertionError(task)
-
-
 def oob_errors(forest: Forest, train: Dataset) -> np.ndarray:
-    """Per-tree error on its out-of-bag rows; trees with no OOB rows (or an
-    undefined metric, e.g. single-class OOB labels) get worst-case 1.0."""
+    """Per-tree error on its out-of-bag rows: the task metric where lower
+    is better, else 1 - metric.  Trees with no OOB rows (or an undefined
+    metric, e.g. single-class OOB labels) get worst-case 1.0.  The OOB
+    (row, tree) pairs of all trees are routed at once (``route_leaves``)."""
+    counts = [tree.oob_indices.size for tree in forest.trees]
+    leaves = route_leaves(forest, train.covariates,
+                          np.concatenate([tree.oob_indices for tree in forest.trees]),
+                          np.repeat(np.arange(forest.n_trees), counts))
     errors = np.ones(forest.n_trees)
-    for i, tree in enumerate(forest.trees):
-        rows = tree.oob_indices
-        if rows.size == 0:
+    for i, (tree, own) in enumerate(zip(forest.trees, np.split(leaves, np.cumsum(counts)[:-1]))):
+        if own.size == 0:
             continue
-        preds = tree_predict_batch(tree, train.covariates[rows])
         try:
-            errors[i] = _error_for_task(forest.task, preds, train, rows)
+            metric = performance_metric(forest.task, forest.arena.node_pred[own], train,
+                                        tree.oob_indices)
         except UndefinedMetricError:
-            errors[i] = 1.0
+            continue
+        errors[i] = 1.0 - metric if higher_is_better(forest.task) else metric
     return errors
 
 

@@ -7,7 +7,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from .data import Dataset, TaskKind
 from .errors import UndefinedMetricError
+from .survival import concordance_index
 
 RULE_COLLECTION = "rule-collection"
 TREE_PATHS = "tree-paths"
@@ -69,6 +71,27 @@ def mae(pred, truth) -> float:
     if pred.shape != truth.shape:
         raise ValueError("pred and truth must have the same shape")
     return float(np.mean(np.abs(pred - truth)))
+
+
+def performance_metric(task: TaskKind, preds: np.ndarray, ds: Dataset,
+                       rows=slice(None)) -> float:
+    """Task metric of the predictions for ``ds``'s rows ``rows`` (all rows
+    by default): AUROC, weighted AUROC, MAE or C-index."""
+    if task is TaskKind.BINARY:
+        return auroc(preds[:, 0], ds.targets[rows, 0])
+    if task is TaskKind.REGRESSION:
+        return mae(preds[:, 0], ds.targets[rows, 0])
+    if task is TaskKind.MULTI_TARGET:
+        return mae(preds, ds.targets[rows])
+    if task is TaskKind.MULTI_LABEL:
+        return weighted_auroc(preds, ds.targets[rows])
+    if task is TaskKind.SURVIVAL:
+        return concordance_index(preds[:, 0], ds.times[rows], ds.events[rows])
+    raise AssertionError(task)
+
+
+def higher_is_better(task: TaskKind) -> bool:
+    return task not in (TaskKind.REGRESSION, TaskKind.MULTI_TARGET)
 
 
 def complexity(rule_lengths, context: str = RULE_COLLECTION,

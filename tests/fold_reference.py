@@ -1,8 +1,11 @@
 """The evaluation loop one instance and one forest at a time: every fold
 fits its forest, then its decision tree and each needed Small RF with their
-own ``fit_forest`` calls, and explains each test instance with its own
-``tune_and_explain`` call.  ``run_benchmark`` and ``run_ablation`` pool the
-fold's fits and explain a fold in batches; their reports must equal these."""
+own ``fit_forest`` calls, explains each test instance with its own
+``tune_and_explain`` call, and reads every prediction, path and rule vector
+of the forests and baselines from per-tree walks (``node_path``,
+``tree_predict``).  ``run_benchmark`` and ``run_ablation`` pool the fold's
+fits, explain a fold in batches and gather the baselines from routed level
+matrices; their reports must equal these."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -11,6 +14,7 @@ import numpy as np
 
 from bellatrex._parallel import parallel_map
 from bellatrex.data import kfold, scale_targets
+from bellatrex.errors import UndefinedMetricError
 from bellatrex.evaluation import (
     ABLATION_ARMS,
     METHOD_BTX_SIMPLE,
@@ -21,22 +25,66 @@ from bellatrex.evaluation import (
     METHOD_SMALL_RF,
     MetricReport,
     _capped_test,
-    _final_rule_vectors,
     _fold_performance,
     _FoldOutcome,
     _mean_or_none,
-    _paths_complexity,
-    _weighted_vectors,
 )
-from bellatrex.explain import MODE_SIMPLE, MODE_WEIGHTED, derive_seed, tune_and_explain
-from bellatrex.forest import (
-    fit_forest,
-    forest_predict,
-    forest_predict_batch,
-    oob_errors,
-    tree_predict,
+from bellatrex.explain import (
+    MODE_SIMPLE,
+    MODE_WEIGHTED,
+    _count_vectors,
+    derive_seed,
+    tune_and_explain,
 )
-from bellatrex.metrics import dissimilarity
+from bellatrex.forest import fit_forest, forest_predict, node_path, tree_predict
+from bellatrex.metrics import dissimilarity, higher_is_better, performance_metric
+
+
+def rule_vectors(trees, paths, mode: str, p: int) -> np.ndarray:
+    """(len(paths), p) matrix whose row i is the rule vector of node path
+    ``paths[i]`` through ``trees[i]``: per-covariate split counts (simple)
+    or sums of split-node sample fractions (weighted)."""
+    splits = [path[:-1] for path in paths]
+    rows = np.repeat(np.arange(len(paths)), [len(s) for s in splits])
+    features = np.concatenate([tree.feature[s] for tree, s in zip(trees, splits)])
+    fractions = np.concatenate([tree.sample_fraction[s] for tree, s in zip(trees, splits)])
+    return _count_vectors(rows, features, fractions, len(paths), mode, p)
+
+
+def _weighted_vectors(forest, tree_indices, x):
+    trees = [forest.trees[int(i)] for i in tree_indices]
+    return rule_vectors(trees, [node_path(tree, x) for tree in trees], MODE_WEIGHTED, forest.p)
+
+
+def _final_rule_vectors(forest, explanation):
+    rules = explanation.final_rules
+    return rule_vectors([forest.trees[r.tree_index] for r in rules],
+                        [[step.node_id for step in r.steps] for r in rules],
+                        explanation.mode, forest.p)
+
+
+def _paths_complexity(forest, tree_indices, x):
+    return sum(len(node_path(forest.trees[int(i)], x)) - 1 for i in tree_indices)
+
+
+def _predict_rows(forest, X):
+    return np.vstack([forest_predict(forest, x) for x in X])
+
+
+def oob_errors(forest, train):
+    """Each tree's error on its out-of-bag rows, one row at a time."""
+    errors = np.ones(forest.n_trees)
+    for i, tree in enumerate(forest.trees):
+        rows = tree.oob_indices
+        if rows.size == 0:
+            continue
+        preds = np.vstack([tree_predict(tree, train.covariates[r]) for r in rows])
+        try:
+            metric = performance_metric(forest.task, preds, train.subset(rows))
+        except UndefinedMetricError:
+            continue
+        errors[i] = 1.0 - metric if higher_is_better(forest.task) else metric
+    return errors
 
 
 def _fold_setup(ds, config, fold, plan):
@@ -52,7 +100,7 @@ def _evaluate_fold(ds, name, config, fold, plan):
     train, test, test_idx, forest = _fold_setup(ds, config, fold, plan)
     X_test = test.covariates
     outcomes = [_FoldOutcome(METHOD_RF, _fold_performance(
-        ds.task, forest_predict_batch(forest, X_test), test, name, METHOD_RF, fold))]
+        ds.task, _predict_rows(forest, X_test), test, name, METHOD_RF, fold))]
 
     explanations = {}
     for mode in config.modes:
@@ -116,7 +164,7 @@ def _evaluate_fold(ds, name, config, fold, plan):
     dt = fit_forest(train, replace(config.params, n_trees=1, bootstrap=False, mtry=train.p,
                                    seed=derive_seed(config.seed, 505, fold)))
     outcomes.append(_FoldOutcome(METHOD_DT, _fold_performance(
-        ds.task, forest_predict_batch(dt, X_test), test, name, METHOD_DT, fold)))
+        ds.task, _predict_rows(dt, X_test), test, name, METHOD_DT, fold)))
     return outcomes
 
 

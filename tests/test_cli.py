@@ -7,7 +7,16 @@ from pathlib import Path
 import pytest
 
 import bellatrex
+from bellatrex import cli
 from bellatrex.cli import main
+from bellatrex.explain import (
+    AblationFlags,
+    derive_seed,
+    plot_tsv,
+    render_json_text,
+    render_text,
+    tune_and_explain,
+)
 from bellatrex.forest import load_forest
 from bellatrex.synthdata import (
     make_binary,
@@ -105,6 +114,29 @@ def test_explain_emits_three_files(binary_files, tmp_path):
     assert set(doc) >= {"chosen_tau", "chosen_d", "chosen_k", "rules", "weights",
                         "surrogate", "forest_prediction", "fidelity",
                         "projected_points"}
+
+
+@pytest.mark.parametrize("files", ["binary_files", "survival_files"])
+def test_explain_files_equal_per_row_explanations(files, tmp_path, request):
+    _, data, schema = request.getfixturevalue(files)
+    model = tmp_path / "model"
+    run(["train", "--data", data, "--schema", schema, "--trees", 20, "--seed", 4,
+         "--out", model])
+    out = tmp_path / "expl"
+    argv = ["explain", "--data", data, "--schema", schema, "--forest", model / "forest.json",
+            "--instances", "0,3,17", "--grid-tau", "5,10", "--seed", 6, "--out", out]
+    assert run(argv) == 0
+    args = cli.build_parser().parse_args([str(a) for a in argv])
+    ds = cli._load_dataset(args)
+    forest = load_forest(model / "forest.json")
+    for row in (0, 3, 17):
+        e = tune_and_explain(forest, ds.covariates[row], cli._tuning_grid(args), args.mode,
+                             AblationFlags(), seed=derive_seed(6, 909, row))
+        stem = out / f"instance_{row}"
+        assert stem.with_suffix(".txt").read_text() == render_text(e, ds.covariate_names, forest)
+        assert stem.with_suffix(".json").read_text() == render_json_text(
+            e, ds.covariate_names, forest)
+        assert stem.with_suffix(".tsv").read_text() == plot_tsv(e)
 
 
 def test_explain_k_fixed_overrides_grid(binary_files, tmp_path):

@@ -12,7 +12,6 @@ from bellatrex.evaluation import (
     MetricReport,
     aggregate_reports,
     baseline_oob_trees,
-    baseline_small_rf,
     benchmark_json,
     benchmark_tsv,
     performance_metric,
@@ -233,17 +232,6 @@ def test_oob_trees_full_k_reproduces_forest_predict():
     errs = np.linspace(0, 1, 7)
     assert np.array_equal(baseline_oob_trees(forest, errs, x, 7),
                           forest_predict(forest, x))
-
-
-def test_small_rf_deterministic_and_k1():
-    ds = make_binary(60, 4, seed=3)
-    x = ds.covariates[5]
-    params = ForestParams(n_trees=99, seed=4)
-    a = baseline_small_rf(ds, x, 1, params)
-    b = baseline_small_rf(ds, x, 1, params)
-    assert np.array_equal(a, b)
-    single = fit_forest(ds, ForestParams(n_trees=1, seed=4))
-    assert np.array_equal(a, forest_predict(single, x))
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import json
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import bellatrex.explain as explain_mod
 from bellatrex.explain import (
     MODE_SIMPLE,
     MODE_WEIGHTED,
@@ -14,11 +16,9 @@ from bellatrex.explain import (
     preselect,
     render_json,
     render_text,
-    rule_vectors,
     tune_and_explain,
-    vectorize,
 )
-from bellatrex.forest import ForestParams, decision_path, fit_forest, node_path
+from bellatrex.forest import ForestParams, decision_path, fit_forest, node_path, route
 from bellatrex.synthdata import (
     make_binary,
     make_multilabel,
@@ -28,6 +28,7 @@ from bellatrex.synthdata import (
 )
 
 from conftest import leaf_tree, make_forest, make_tree
+from fold_reference import rule_vectors
 
 
 def chain_tree(features, omegas, preds=None, leaf_value=0.5):
@@ -80,6 +81,14 @@ def test_preselect_bounds():
 # ---------------------------------------------------------------------------
 # Vectorization
 # ---------------------------------------------------------------------------
+
+def vectorize(tree, x, mode):
+    """The rule vector of x's path through a one-tree forest, gathered from
+    its routed level matrix (``path_vectors``)."""
+    forest = make_forest([tree], p=x.size)
+    levels = route(forest, x)
+    return SimpleNamespace(values=explain_mod.path_vectors(forest.arena, levels.T, mode, x.size)[0])
+
 
 def test_vectorize_root_leaf_zero_vector():
     tree = leaf_tree(0.5)
@@ -143,8 +152,6 @@ def test_rule_vectors_equal_running_sums():
 
 
 def test_routed_vectors_equal_rule_vectors():
-    import bellatrex.explain as explain_mod
-
     ds = make_regression(150, 7, seed=3)
     forest = fit_forest(ds, ForestParams(n_trees=12, seed=4))
     for x in ds.covariates[:10]:
@@ -153,7 +160,8 @@ def test_routed_vectors_equal_rule_vectors():
         paths = [node_path(forest.trees[i], x) for i in selected]
         for mode in (MODE_SIMPLE, MODE_WEIGHTED):
             expected = rule_vectors([forest.trees[i] for i in selected], paths, mode, forest.p)
-            routed = explain_mod._selected_vectors(forest, routes, selected, mode)
+            routed = explain_mod.path_vectors(forest.arena, routes.levels[:, selected].T, mode,
+                                              forest.p)
             assert routed.tobytes() == expected.tobytes()
 
 
@@ -251,8 +259,6 @@ def test_tune_matches_exhaustive_grid(rng):
 
 
 def test_tune_derives_seeds_only_for_multi_cluster_cells(monkeypatch):
-    import bellatrex.explain as explain_mod
-
     ds = make_binary(120, 5, seed=6)
     forest = fit_forest(ds, ForestParams(n_trees=20, seed=7))
     grid = TuningGrid(taus=(5, 10, 20), dims=(2, None), ks=(1, 2, 3))

@@ -22,23 +22,23 @@ from bellatrex.forest import (
     _logrank_exact,
     _logrank_screen,
     _zero_variance_cuts,
-    apply,
     best_split,
     decision_path,
     fit_forest,
     fit_forests,
     forest_from_dict,
     forest_predict,
+    forest_predict_batch,
     forest_to_dict,
-    gini,
     load_forest,
     node_path,
     oob_errors,
     path_length,
     route,
+    route_batch,
+    route_leaves,
     save_forest,
     tree_predict,
-    variance_reduction,
 )
 from bellatrex.survival import kaplan_meier, logrank_score, risk_score
 from bellatrex.synthdata import (
@@ -50,6 +50,7 @@ from bellatrex.synthdata import (
 )
 
 from conftest import leaf_tree, make_forest, make_tree
+from fold_reference import oob_errors as reference_oob_errors
 
 
 def dataset_from(X, y, task=TaskKind.BINARY, names=None):
@@ -71,38 +72,45 @@ def dataset_from(X, y, task=TaskKind.BINARY, names=None):
 # Criteria
 # ---------------------------------------------------------------------------
 
+# Gini and variance gains are scored by the batched search; best_split
+# reports a node's best gain (None where no cut gains).
+
+def split_score(x, y, task=TaskKind.BINARY):
+    X = np.asarray(x, dtype=np.float64)[:, None]
+    Y = np.asarray(y, dtype=np.float64).reshape(X.shape[0], -1)
+    found = best_split(X, Y, task, np.arange(X.shape[0]), np.array([0]))
+    return None if found is None else found[2]
+
+
 def test_gini_pure_zero():
-    assert gini([1, 1, 1]) == 0.0
+    assert split_score([1.0, 2.0, 3.0], [1, 1, 1]) is None
 
 
 def test_gini_balanced_half():
-    assert gini([0, 1, 0, 1]) == 0.5
+    assert split_score([1.0, 3.0, 2.0, 4.0], [0, 1, 0, 1]) == 0.5
 
 
 def test_gini_quarter():
-    assert gini([1, 0, 0, 0]) == pytest.approx(2 * 0.25 * 0.75)
+    assert split_score([4.0, 1.0, 2.0, 3.0], [1, 0, 0, 0]) == pytest.approx(2 * 0.25 * 0.75)
 
 
 def test_variance_reduction_identical_halves_zero():
     parent = np.array([1.0, 2.0, 1.0, 2.0])
-    assert variance_reduction(parent, parent[:2], parent[2:]) == pytest.approx(0.0)
+    assert split_score([1.0, 1.0, 2.0, 2.0], parent, TaskKind.REGRESSION) is None
 
 
 def test_variance_reduction_perfect_split():
     parent = np.array([0.0, 0.0, 1.0, 1.0])
-    red = variance_reduction(parent, parent[:2], parent[2:])
+    red = split_score([1.0, 2.0, 3.0, 4.0], parent, TaskKind.REGRESSION)
     assert red == pytest.approx(0.25)
 
 
 def test_variance_reduction_constant_target_halves_average():
     varying = np.array([0.0, 0.0, 1.0, 1.0])
     constant = np.full(4, 3.0)
-    single = variance_reduction(varying, varying[:2], varying[2:])
-    double = variance_reduction(
-        np.column_stack([varying, constant]),
-        np.column_stack([varying[:2], constant[:2]]),
-        np.column_stack([varying[2:], constant[2:]]),
-    )
+    x = [1.0, 2.0, 3.0, 4.0]
+    single = split_score(x, varying, TaskKind.REGRESSION)
+    double = split_score(x, np.column_stack([varying, constant]), TaskKind.MULTI_TARGET)
     assert double == pytest.approx(single / 2)
 
 
@@ -1137,7 +1145,7 @@ def test_binary_leaf_probability_is_exact_proportion():
     forest = fit_forest(ds, ForestParams(n_trees=10, min_samples_split=2, seed=4))
     for tree in forest.trees:
         boot_y = y[tree.bootstrap_indices]
-        leaves = apply(tree, X[tree.bootstrap_indices])
+        leaves = np.array([node_path(tree, x)[-1] for x in X[tree.bootstrap_indices]])
         for leaf in np.unique(leaves):
             members = boot_y[leaves == leaf]
             assert tree.node_pred[leaf, 0] == pytest.approx(members.mean())
@@ -1410,3 +1418,44 @@ def test_arena_is_built_lazily_and_follows_replaced_trees():
     forest.trees = forest.trees[::-1]
     assert forest.arena is not arena
     assert_routes_equal_node_paths(forest, [x])
+
+
+def reference_predictions(forest, X):
+    return np.vstack([forest_predict(forest, x) for x in X])
+
+
+def assert_batch_routes_equal_node_paths(forest, X, train):
+    """route_batch, route_leaves, forest_predict_batch and oob_errors
+    against per-tree walks, bit for bit."""
+    X = np.asarray(X)
+    levels = route_batch(forest, X)
+    for i, x in enumerate(X):
+        paths = [node_path(tree, x) for tree in forest.trees]
+        assert [forest.arena.path(levels[:, i], t) for t in range(forest.n_trees)] == paths
+    rows = np.repeat(np.arange(X.shape[0]), forest.n_trees)
+    trees = np.tile(np.arange(forest.n_trees), X.shape[0])
+    leaves = route_leaves(forest, X, rows, trees) - forest.arena.roots[trees]
+    assert leaves.tolist() == [node_path(forest.trees[t], X[r])[-1] for r, t in zip(rows, trees)]
+    assert forest_predict_batch(forest, X).tobytes() == reference_predictions(forest, X).tobytes()
+    assert oob_errors(forest, train).tobytes() == reference_oob_errors(forest, train).tobytes()
+
+
+@pytest.mark.parametrize("task", sorted(ROUTE_DATA))
+def test_batch_routing_equals_per_tree_walks(task, tmp_path, monkeypatch):
+    ds = ROUTE_DATA[task]()
+    forest = fit_forest(ds, ForestParams(n_trees=12, seed=5))
+    stumps = fit_forest(ds, ForestParams(n_trees=3, seed=6, max_depth=0))
+    save_forest(forest, tmp_path / "forest.json")
+    loaded = load_forest(tmp_path / "forest.json")
+    X = np.vstack([ds.covariates[::7]] + at_thresholds(forest, ds.covariates[0]))
+    for steps in (forest_mod._STEP_ROWS, 5):  # one block, and blocks of 5 pairs
+        monkeypatch.setattr(forest_mod, "_STEP_ROWS", steps)
+        for f in (forest, stumps, loaded):
+            assert_batch_routes_equal_node_paths(f, X, ds)
+
+
+def test_batch_routing_over_several_blocks():
+    ds = make_binary(200, 5, seed=36)
+    forest = fit_forest(ds, ForestParams(n_trees=100, seed=7))
+    assert ds.n * forest.n_trees > forest_mod._STEP_ROWS
+    assert_batch_routes_equal_node_paths(forest, ds.covariates, ds)

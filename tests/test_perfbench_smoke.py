@@ -48,5 +48,31 @@ def test_benchmark_run_ends_with_a_full_result_line():
         assert math.isfinite(metric["value"]), name
 
 
+def test_traced_run_reports_every_declared_layer():
+    """The traced run wraps package functions by name (``perfbench/tracing.py``):
+    one that is renamed or deleted drops its per-layer metrics from the
+    result line."""
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "all", "--small",
+         "--trace", "1", "--seed", "5"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1],
+                        parse_constant=_refuse_constant)
+    assert result["correct"] is True
+    digests = dict(line.split()[1:] for line in done.stdout.splitlines()
+                   if line.startswith("digest "))
+    assert digests == PINNED_DIGESTS
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    expected = {f"{workload['name']}/{metric['name']}"
+                for workload in declared["workloads"] for metric in declared["per_layer"]}
+    assert len(expected) == 3 * 36
+    assert set(result["metrics"]) == expected
+    for name, metric in result["metrics"].items():
+        assert isinstance(metric["value"], (int, float)), name
+        assert math.isfinite(metric["value"]), name
+
+
 def _refuse_constant(name):
     raise ValueError(f"the result line holds the non-JSON constant {name}")
