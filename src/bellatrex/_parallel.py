@@ -28,3 +28,11 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T]) -> list[R]:
         return [fn(item) for item in seq]
     with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, seq))
+
+
+def map_groups(fn: Callable[[slice], list[R]], n: int) -> list[R]:
+    """``fn`` of one contiguous slice of range(n) per worker thread, run by
+    ``parallel_map``; the results of the slices concatenated in order."""
+    k = min(thread_count(), n)
+    groups = [slice(n * g // k, n * (g + 1) // k) for g in range(k)]
+    return [r for part in parallel_map(fn, groups) for r in part]

@@ -209,29 +209,26 @@ def _benchmark_config(args) -> BenchmarkConfig:
     )
 
 
-def cmd_benchmark(args) -> None:
+def _cross_validate(args, run, stem: str, tsv, doc) -> None:
+    """Run ``run`` (``run_benchmark`` or ``run_ablation``) on the data and
+    write its result as ``stem``.tsv (``tsv(result)``) and ``stem``.json
+    (``doc(result)``)."""
     ds = _load_dataset(args, scale=False)
-    config = _benchmark_config(args)
-    config.grid.validate(config.params.n_trees)
-    name = args.name or Path(args.data).stem
-    fold_rows, reports = run_benchmark(ds, name, config)
+    result = run(ds, args.name or Path(args.data).stem, _benchmark_config(args))
     out = _out_dir(args)
-    (out / "report.tsv").write_text(benchmark_tsv(fold_rows, reports))
-    (out / "report.json").write_text(
-        json.dumps(benchmark_json(fold_rows, reports), indent=2) + "\n")
-    print(f"wrote {out / 'report.tsv'} and {out / 'report.json'}")
+    (out / f"{stem}.tsv").write_text(tsv(result))
+    (out / f"{stem}.json").write_text(json.dumps(doc(result), indent=2) + "\n")
+    print(f"wrote {out / stem}.tsv and {out / stem}.json")
+
+
+def cmd_benchmark(args) -> None:
+    _cross_validate(args, run_benchmark, "report",
+                    lambda result: benchmark_tsv(*result), lambda result: benchmark_json(*result))
 
 
 def cmd_ablate(args) -> None:
-    ds = _load_dataset(args, scale=False)
-    config = _benchmark_config(args)
-    config.grid.validate(config.params.n_trees)
-    name = args.name or Path(args.data).stem
-    rows = run_ablation(ds, name, config)
-    out = _out_dir(args)
-    (out / "ablation.tsv").write_text(rows_to_tsv(rows, ABLATION_COLUMNS))
-    (out / "ablation.json").write_text(json.dumps({"rows": rows}, indent=2) + "\n")
-    print(f"wrote {out / 'ablation.tsv'} and {out / 'ablation.json'}")
+    _cross_validate(args, run_ablation, "ablation",
+                    lambda rows: rows_to_tsv(rows, ABLATION_COLUMNS), lambda rows: {"rows": rows})
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -260,25 +257,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain.add_argument("--out", required=True)
     p_explain.set_defaults(func=cmd_explain)
 
-    p_bench = sub.add_parser("benchmark", help="run the cross-validated comparison")
-    _add_data_args(p_bench)
-    _add_forest_args(p_bench)
-    _add_grid_args(p_bench)
-    p_bench.add_argument("--folds", type=int, default=5)
-    p_bench.add_argument("--max-test", type=int, default=100)
-    p_bench.add_argument("--name", help="dataset name in reports (default: file stem)")
-    p_bench.add_argument("--out", required=True)
-    p_bench.set_defaults(func=cmd_benchmark)
-
-    p_ablate = sub.add_parser("ablate", help="four-arm pipeline ablation")
-    _add_data_args(p_ablate)
-    _add_forest_args(p_ablate)
-    _add_grid_args(p_ablate)
-    p_ablate.add_argument("--folds", type=int, default=5)
-    p_ablate.add_argument("--max-test", type=int, default=100)
-    p_ablate.add_argument("--name", help="dataset name in reports (default: file stem)")
-    p_ablate.add_argument("--out", required=True)
-    p_ablate.set_defaults(func=cmd_ablate)
+    for command, help_text, func in (
+            ("benchmark", "run the cross-validated comparison", cmd_benchmark),
+            ("ablate", "four-arm pipeline ablation", cmd_ablate)):
+        p_cv = sub.add_parser(command, help=help_text)
+        _add_data_args(p_cv)
+        _add_forest_args(p_cv)
+        _add_grid_args(p_cv)
+        p_cv.add_argument("--folds", type=int, default=5)
+        p_cv.add_argument("--max-test", type=int, default=100)
+        p_cv.add_argument("--name", help="dataset name in reports (default: file stem)")
+        p_cv.add_argument("--out", required=True)
+        p_cv.set_defaults(func=func)
 
     return parser
 

@@ -202,6 +202,9 @@ def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
         except StopIteration:
             raise ParseError(f"{path}: empty file, header row required") from None
         header = [h.strip() for h in header]
+        for i, name in enumerate(header):
+            if name in header[:i]:
+                raise ParseError(f"{path}: header names column {name!r} more than once")
         rows: list[list[str]] = []
         for i, row in enumerate(reader, start=2):
             if not row:
@@ -356,7 +359,6 @@ def preprocess(
     col_drop_threshold: float = 0.30,
     row_drop_threshold: float = 0.30,
     scale: bool = True,
-    scale_rows: np.ndarray | None = None,
 ) -> Dataset:
     """Drop mostly-missing rows/columns, impute, one-hot encode, scale targets.
 
@@ -434,5 +436,5 @@ def preprocess(
         preprocessed=True,
     )
     if scale:
-        ds = scale_targets(ds, scale_rows)
+        ds = scale_targets(ds)
     return ds

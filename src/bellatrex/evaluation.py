@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
-from ._parallel import parallel_map, thread_count
-from .data import Dataset, kfold, scale_targets
+from ._parallel import map_groups
+from .data import Dataset, FoldPlan, kfold, scale_targets
 from .errors import UndefinedMetricError
 from .explain import (
     MODE_SIMPLE,
@@ -171,14 +171,11 @@ def _explain_fold(forest: Forest, X: np.ndarray, grid: TuningGrid,
                   requests: list[tuple[int, str, AblationFlags, int]]) -> list[Explanation]:
     """``explain_batch`` of the (row of X, mode, flags, seed) requests, in
     order: one contiguous group of requests per worker thread."""
-    k = min(thread_count(), len(requests))
-    groups = [requests[len(requests) * g // k:len(requests) * (g + 1) // k] for g in range(k)]
-
-    def explain_group(group: list) -> list[Explanation]:
-        rows, modes, flags, seeds = zip(*group)
+    def explain_group(group: slice) -> list[Explanation]:
+        rows, modes, flags, seeds = zip(*requests[group])
         return explain_batch(forest, X[list(rows)], grid, modes, flags, seeds)
 
-    return [e for part in parallel_map(explain_group, groups) for e in part]
+    return map_groups(explain_group, len(requests))
 
 
 def _small_rf_params(config: BenchmarkConfig, fold: int, k: int) -> ForestParams:
@@ -278,60 +275,50 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
     return outcomes
 
 
+def _run_folds(dataset: Dataset, config: BenchmarkConfig,
+               fold_rows: Callable[[int, FoldPlan], list[dict]]) -> list[dict]:
+    """Every fold's ``fold_rows(fold, plan)``, in fold order.  The dataset
+    and the grid are checked before any forest grows."""
+    if not dataset.preprocessed:
+        raise ValueError("run_benchmark and run_ablation expect a preprocessed Dataset")
+    config.grid.validate(config.params.n_trees)
+    plan = kfold(dataset.n, config.folds, config.seed)
+    return [row for fold in range(config.folds) for row in fold_rows(fold, plan)]
+
+
+def _key_means(rows: list[dict], key: str,
+               columns: Sequence[str]) -> dict[str, dict[str, float | None]]:
+    """Per value of ``rows``' ``key`` column, in first-seen order: the mean
+    of each of ``columns`` over that value's rows, None values skipped."""
+    groups: dict[str, list[dict]] = {}
+    for row in rows:
+        groups.setdefault(row[key], []).append(row)
+    return {k: {col: _mean_or_none([r[col] for r in group]) for col in columns}
+            for k, group in groups.items()}
+
+
 def run_benchmark(dataset: Dataset, name: str,
                   config: BenchmarkConfig) -> tuple[list[dict], list[MetricReport]]:
     """5-fold evaluation of {RF, weighted/simple surrogate, DT, Small RF,
     OOB Trees}; returns per-fold rows and per-method aggregate reports."""
-    if not dataset.preprocessed:
-        raise ValueError("run_benchmark expects a preprocessed Dataset")
-    config.grid.validate(config.params.n_trees)
-    plan = kfold(dataset.n, config.folds, config.seed)
-    fold_rows: list[dict] = []
-    per_method: dict[str, list[_FoldOutcome]] = {}
-    for fold in range(config.folds):
-        for outcome in _evaluate_fold(dataset, name, config, fold, plan):
-            fold_rows.append({
-                "dataset": name,
-                "fold": fold,
-                "method": outcome.method,
-                "performance": outcome.performance,
-                "complexity": outcome.complexity,
-                "dissimilarity": outcome.dissim,
-                "mean_rules": outcome.mean_rules,
-            })
-            per_method.setdefault(outcome.method, []).append(outcome)
+    def fold_rows(fold: int, plan: FoldPlan) -> list[dict]:
+        return [{
+            "dataset": name, "fold": fold, "method": o.method,
+            "performance": o.performance, "complexity": o.complexity,
+            "dissimilarity": o.dissim, "mean_rules": o.mean_rules,
+        } for o in _evaluate_fold(dataset, name, config, fold, plan)]
 
-    reports = []
-    for method, outcomes in per_method.items():
-        reports.append(MetricReport(
-            dataset=name,
-            method=method,
-            performance=_mean_or_none([o.performance for o in outcomes]),
-            complexity=_mean_or_none([o.complexity for o in outcomes]),
-            dissimilarity=_mean_or_none([o.dissim for o in outcomes]),
-            mean_rules=_mean_or_none([o.mean_rules for o in outcomes]),
-            folds=config.folds,
-        ))
-    return fold_rows, reports
+    rows = _run_folds(dataset, config, fold_rows)
+    return rows, [MetricReport(dataset=name, method=method, folds=config.folds, **means)
+                  for method, means in _key_means(rows, "method", _METRICS).items()]
 
 
 def aggregate_reports(reports: list[MetricReport]) -> list[MetricReport]:
     """Unweighted mean across datasets, one 'average' row per method."""
-    methods: dict[str, list[MetricReport]] = {}
-    for rep in reports:
-        methods.setdefault(rep.method, []).append(rep)
-    out = []
-    for method, reps in methods.items():
-        out.append(MetricReport(
-            dataset="average",
-            method=method,
-            performance=_mean_or_none([r.performance for r in reps]),
-            complexity=_mean_or_none([r.complexity for r in reps]),
-            dissimilarity=_mean_or_none([r.dissimilarity for r in reps]),
-            mean_rules=_mean_or_none([r.mean_rules for r in reps]),
-            folds=max(r.folds for r in reps),
-        ))
-    return out
+    return [MetricReport(dataset="average", method=method,
+                         folds=max(r.folds for r in reports if r.method == method), **means)
+            for method, means in _key_means([vars(r) for r in reports], "method",
+                                            _METRICS).items()]
 
 
 # ---------------------------------------------------------------------------
@@ -341,16 +328,7 @@ def aggregate_reports(reports: list[MetricReport]) -> list[MetricReport]:
 def run_ablation(dataset: Dataset, name: str, config: BenchmarkConfig) -> list[dict]:
     """Four-arm study {full, no-preselect, no-pca, neither} of the weighted
     pipeline; per (arm, fold) surrogate performance plus aggregate rows."""
-    if not dataset.preprocessed:
-        raise ValueError("run_ablation expects a preprocessed Dataset")
-    config.grid.validate(config.params.n_trees)
-    plan = kfold(dataset.n, config.folds, config.seed)
-    rows: list[dict] = []
-    arm_perf: dict[str, list[float | None]] = {arm: [] for arm, _ in ABLATION_ARMS}
-    arm_d: dict[str, list[float]] = {arm: [] for arm, _ in ABLATION_ARMS}
-    arm_k: dict[str, list[float]] = {arm: [] for arm, _ in ABLATION_ARMS}
-
-    for fold in range(config.folds):
+    def fold_rows(fold: int, plan: FoldPlan) -> list[dict]:
         _, test, test_idx, (forest,) = _fold_setup(dataset, config, fold, plan)
         m = test_idx.size
         explained = _explain_fold(forest, test.covariates, config.grid, [
@@ -358,29 +336,21 @@ def run_ablation(dataset: Dataset, name: str, config: BenchmarkConfig) -> list[d
              derive_seed(config.seed, 606, fold, int(test_idx[i]), arm_index))
             for arm_index, (_, flags) in enumerate(ABLATION_ARMS) for i in range(m)
         ])
-
+        rows = []
         for arm_index, (arm, _) in enumerate(ABLATION_ARMS):
             expl = explained[arm_index * m:(arm_index + 1) * m]
             preds = np.vstack([e.surrogate for e in expl])
-            perf = _fold_performance(dataset.task, preds, test, name, arm, fold)
-            mean_d = float(np.mean([e.chosen_d for e in expl]))
-            mean_k = float(np.mean([e.chosen_k for e in expl]))
             rows.append({
                 "dataset": name, "fold": fold, "arm": arm,
-                "performance": perf, "mean_chosen_d": mean_d, "mean_rules": mean_k,
+                "performance": _fold_performance(dataset.task, preds, test, name, arm, fold),
+                "mean_chosen_d": float(np.mean([e.chosen_d for e in expl])),
+                "mean_rules": float(np.mean([e.chosen_k for e in expl])),
             })
-            arm_perf[arm].append(perf)
-            arm_d[arm].append(mean_d)
-            arm_k[arm].append(mean_k)
+        return rows
 
-    for arm, _ in ABLATION_ARMS:
-        rows.append({
-            "dataset": name, "fold": "average", "arm": arm,
-            "performance": _mean_or_none(arm_perf[arm]),
-            "mean_chosen_d": _mean_or_none(arm_d[arm]),
-            "mean_rules": _mean_or_none(arm_k[arm]),
-        })
-    return rows
+    rows = _run_folds(dataset, config, fold_rows)
+    return rows + [{"dataset": name, "fold": "average", "arm": arm, **means}
+                   for arm, means in _key_means(rows, "arm", _ABLATION_METRICS).items()]
 
 
 # ---------------------------------------------------------------------------
@@ -402,10 +372,11 @@ def rows_to_tsv(rows: list[dict], columns: list[str]) -> str:
     return "\n".join(lines) + "\n"
 
 
-BENCH_COLUMNS = ["dataset", "fold", "method", "performance", "complexity",
-                 "dissimilarity", "mean_rules"]
-ABLATION_COLUMNS = ["dataset", "fold", "arm", "performance", "mean_chosen_d",
-                    "mean_rules"]
+# the averaged columns: _METRICS are MetricReport's fields
+_METRICS = ("performance", "complexity", "dissimilarity", "mean_rules")
+_ABLATION_METRICS = ("performance", "mean_chosen_d", "mean_rules")
+BENCH_COLUMNS = ["dataset", "fold", "method", *_METRICS]
+ABLATION_COLUMNS = ["dataset", "fold", "arm", *_ABLATION_METRICS]
 
 
 def benchmark_tsv(fold_rows: list[dict], reports: list[MetricReport]) -> str:

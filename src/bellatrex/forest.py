@@ -88,7 +88,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._parallel import parallel_map, thread_count
+from ._parallel import map_groups
 from .data import Dataset, TaskKind
 from .errors import ForestFileError, UndefinedMetricError
 from .metrics import higher_is_better, performance_metric
@@ -1028,9 +1028,7 @@ def fit_forests(train: Dataset, params_list: Sequence[ForestParams]) -> list[For
         return _grow_trees(X, keys, Y, train.task, list(samples), list(oobs), list(rngs),
                            min_split, mtry, max_depth, event_grid)
 
-    k = min(thread_count(), len(jobs))
-    groups = [slice(len(jobs) * g // k, len(jobs) * (g + 1) // k) for g in range(k)]
-    trees = [tree for group in parallel_map(grow, groups) for tree in group]
+    trees = map_groups(grow, len(jobs))
     forests = []
     for params, (min_split, mtry, _) in zip(params_list, settings):
         own, trees = trees[:params.n_trees], trees[params.n_trees:]

@@ -90,6 +90,18 @@ def test_invalid_task_is_usage_error(binary_files, tmp_path):
     assert err.value.code == 2
 
 
+def test_duplicate_header_is_data_error(tmp_path, capsys):
+    data = tmp_path / "dup.csv"
+    data.write_text("a,a,label\n" + "".join(f"{i},{-i},{i % 2}\n" for i in range(12)))
+    code = run(["train", "--data", data, "--task", "binary", "--target", "label",
+                "--trees", 3, "--out", tmp_path / "m"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "data error" in err and "'a' more than once" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "m" / "forest.json").exists()
+
+
 def test_missing_file_is_data_error(tmp_path):
     code = run(["train", "--data", tmp_path / "absent.csv", "--task", "binary",
                 "--target", "label", "--out", tmp_path / "m"])
@@ -476,12 +488,16 @@ def test_ablate_four_arms(binary_files, tmp_path):
     assert no_pca["mean_chosen_d"] == 5.0  # p
 
 
-def test_tau_larger_than_forest_is_usage_error(binary_files, tmp_path):
+def test_tau_larger_than_forest_is_usage_error(binary_files, tmp_path, capsys):
     _, data, schema = binary_files
-    out = tmp_path / "bench"
-    code = run(["benchmark", "--data", data, "--schema", schema,
-                "--trees", "10", "--grid-tau", "40", "--out", out])
-    assert code == 2
+    for command in ("benchmark", "ablate"):
+        out = tmp_path / command
+        code = run([command, "--data", data, "--schema", schema,
+                    "--trees", "10", "--grid-tau", "40", "--out", out])
+        err = capsys.readouterr().err
+        assert code == 2, command
+        assert "tau" in err and "Traceback" not in err, err
+        assert not out.exists(), command
 
 
 @pytest.mark.parametrize("command, report", [("benchmark", "report.tsv"),

@@ -42,6 +42,17 @@ def test_load_csv_malformed_row_reports_row_number(tmp_path):
         load_csv(path, TargetSpec(columns=("y",)), TaskKind.BINARY)
 
 
+@pytest.mark.parametrize("text, target, name", [
+    ("a,a,y\n1,2,0\n3,4,1\n", "y", "a"),  # the second 'a' column used to be lost
+    ("a,y,y\n1,0,1\n3,1,0\n", "y", "y"),  # a repeated target name dropped a column
+    ("a, b,b ,y\n1,2,3,0\n", "y", "b"),  # names are compared after stripping
+], ids=["covariate", "target", "stripped"])
+def test_load_csv_rejects_duplicate_header_names(tmp_path, text, target, name):
+    path = write(tmp_path, "d.csv", text)
+    with pytest.raises(ParseError, match=f"column '{name}' more than once"):
+        load_csv(path, TargetSpec(columns=(target,)), TaskKind.BINARY)
+
+
 def test_load_csv_missing_target_column(tmp_path):
     path = write(tmp_path, "d.csv", "a,b\n1,2\n")
     with pytest.raises(SchemaError, match="target column"):

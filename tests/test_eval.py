@@ -350,13 +350,26 @@ def test_aggregate_reports_unweighted_means():
         MetricReport("b", "rf", 0.6, None, None, None, 5),
         MetricReport("a", "bellatrex-weighted", 0.7, 10.0, 0.9, 2.0, 5),
         MetricReport("b", "bellatrex-weighted", 0.5, 6.0, 0.7, 1.0, 5),
+        # None metrics are skipped, and a method's folds is its largest count
+        MetricReport("a", "dt", None, None, None, None, 3),
+        MetricReport("b", "dt", 0.4, None, None, None, 10),
+        MetricReport("c", "dt", 0.2, None, None, None, 4),
+        MetricReport("c", "bellatrex-weighted", None, 8.0, None, 3.0, 2),
     ]
-    rows = {r.method: r for r in aggregate_reports(reports)}
+    averaged = aggregate_reports(reports)
+    assert [r.method for r in averaged] == ["rf", "bellatrex-weighted", "dt"]
+    rows = {r.method: r for r in averaged}
     assert all(r.dataset == "average" for r in rows.values())
     assert rows["rf"].performance == pytest.approx(0.7)
+    assert rows["rf"].complexity is None and rows["rf"].folds == 5
+    assert rows["bellatrex-weighted"].performance == pytest.approx(0.6)
     assert rows["bellatrex-weighted"].complexity == pytest.approx(8.0)
     assert rows["bellatrex-weighted"].dissimilarity == pytest.approx(0.8)
-    assert rows["bellatrex-weighted"].mean_rules == pytest.approx(1.5)
+    assert rows["bellatrex-weighted"].mean_rules == pytest.approx(2.0)
+    assert rows["bellatrex-weighted"].folds == 5
+    assert rows["dt"].performance == pytest.approx(0.3)
+    assert rows["dt"].dissimilarity is None and rows["dt"].mean_rules is None
+    assert rows["dt"].folds == 10
 
 
 def test_run_benchmark_survival_smoke():
