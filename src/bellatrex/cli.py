@@ -66,12 +66,6 @@ def _add_grid_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--grid-k", default="1,2,3")
     parser.add_argument("--k-fixed", type=int, default=None,
                         help="override the cluster-count grid with one value")
-    parser.add_argument("--mode", choices=[MODE_SIMPLE, MODE_WEIGHTED],
-                        default=MODE_WEIGHTED)
-    parser.add_argument("--no-preselect", action="store_true",
-                        help="keep every tree (skip pre-selection)")
-    parser.add_argument("--no-pca", action="store_true",
-                        help="skip the projection step")
 
 
 def _split_csv_list(raw: str | None) -> tuple[str, ...]:
@@ -249,6 +243,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_explain = sub.add_parser("explain", help="explain instances of a dataset")
     _add_data_args(p_explain)
     _add_grid_args(p_explain)
+    # benchmark and ablate run both modes and every arm themselves
+    p_explain.add_argument("--mode", choices=[MODE_SIMPLE, MODE_WEIGHTED],
+                           default=MODE_WEIGHTED)
+    p_explain.add_argument("--no-preselect", action="store_true",
+                           help="keep every tree (skip pre-selection)")
+    p_explain.add_argument("--no-pca", action="store_true",
+                           help="skip the projection step")
     p_explain.add_argument("--forest", required=True, help="serialized forest file")
     p_explain.add_argument("--instances", required=True,
                            help='row indices "3,5,7" or "fold:F" for fold F test rows')

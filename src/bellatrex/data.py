@@ -347,10 +347,17 @@ def scale_targets(ds: Dataset, rows: np.ndarray | None = None) -> Dataset:
     ref = ds.targets[stats_rows]
     lo = ref.min(axis=0)
     hi = ref.max(axis=0)
-    span = hi - lo
+    with np.errstate(over="ignore"):
+        span = hi - lo
     scaled = np.zeros_like(ds.targets)
-    ok = span > 0
+    # a finite range wider than the largest double is scaled by halves,
+    # which are exact, so every range that does not overflow keeps its bytes
+    wide = np.isinf(span) & np.isfinite(lo) & np.isfinite(hi)
+    ok = (span > 0) & ~wide
     scaled[:, ok] = np.clip((ds.targets[:, ok] - lo[ok]) / span[ok], 0.0, 1.0)
+    if wide.any():
+        scaled[:, wide] = np.clip((ds.targets[:, wide] / 2 - lo[wide] / 2)
+                                  / (hi[wide] / 2 - lo[wide] / 2), 0.0, 1.0)
     return replace(ds, targets=scaled)
 
 
@@ -366,9 +373,9 @@ def preprocess(
     first; then rows whose missing fraction (over the surviving columns)
     exceeds ``row_drop_threshold``.  Remaining gaps are imputed with the
     column median (numeric) or mode (categorical).  Rows with missing target
-    values are always dropped.  An infinite numeric covariate in a kept row
-    and column raises a DataError.  The result is idempotent under a second
-    call.
+    values are always dropped.  An infinite target in any row, or an infinite
+    numeric covariate in a kept row and column, raises a DataError.  The
+    result is idempotent under a second call.
     """
     if not 0 < col_drop_threshold <= 1 or not 0 < row_drop_threshold <= 1:
         raise ValueError("drop thresholds must lie in (0, 1]")
@@ -380,6 +387,11 @@ def preprocess(
 
     keep_rows = ~np.isnan(raw.targets).any(axis=1)
     dropped_targets = int(n - keep_rows.sum())
+    infinite = np.argwhere(np.isinf(raw.targets))
+    if infinite.size:
+        row, j = (int(v) for v in infinite[0])
+        raise DataError(f"target {raw.target_names[j]!r} is infinite in row {row}"
+                        " (0-based data row); infinite targets are not supported")
     if not keep_rows.any():
         raise EmptyDataError("every row is missing a target value")
 

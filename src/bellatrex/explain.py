@@ -12,8 +12,10 @@ instance by maximizing fidelity = 1 - ||forest - surrogate||_2.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
-from typing import Sequence
+from functools import cached_property
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,7 +24,10 @@ from .data import TaskKind
 from .forest import Forest, NodeArena, PathStep, path_length, path_steps, route
 from .numeric import (
     Clustering,
+    ClusteringBatch,
+    SortedRows,
     identity_projection,
+    kmeans_batch,
     kmeans_pp,
     pca_fit,
     pca_spectrum,
@@ -193,14 +198,55 @@ class _Cell:
     fidelity: float
 
 
+def _norms(rows: np.ndarray) -> np.ndarray:
+    """``np.linalg.norm`` of each row, bit for bit: the square root of the
+    row's dot product with itself, which for one column is its square."""
+    if rows.shape[1] == 1:
+        return np.sqrt(rows[:, 0] * rows[:, 0])
+    return np.array([np.linalg.norm(row) for row in rows])
+
+
 def _fit_cell(routes: _Routes, selected: np.ndarray, clustering: Clustering) -> _Cell:
     representatives = clustering.representatives.tolist()
     weights = clustering.sizes / selected.size
     surrogate = np.zeros(routes.preds.shape[1])
     for c, local in enumerate(representatives):
         surrogate += float(weights[c]) * routes.preds[selected[local]]
-    fidelity = 1.0 - float(np.linalg.norm(routes.y_hat - surrogate))
-    return _Cell(clustering, representatives, weights, surrogate, fidelity)
+    residual = routes.y_hat - surrogate
+    if residual.size == 1:  # as in _norms, in Python floats
+        norm = math.sqrt(float(residual[0]) * float(residual[0]))
+    else:
+        norm = float(np.linalg.norm(residual))
+    return _Cell(clustering, representatives, weights, surrogate, 1.0 - norm)
+
+
+@dataclass(frozen=True)
+class _CellBatch:
+    """``_fit_cell`` of each cell of a ``ClusteringBatch``."""
+
+    clusterings: ClusteringBatch
+    weights: np.ndarray  # (C, K)
+    surrogates: np.ndarray  # (C, w)
+    fidelities: np.ndarray  # (C,)
+
+    def cell(self, c: int) -> _Cell:
+        clustering = self.clusterings.cell(c)
+        return _Cell(clustering, clustering.representatives.tolist(), self.weights[c].copy(),
+                     self.surrogates[c].copy(), float(self.fidelities[c]))
+
+
+def _fit_cells(clusterings: ClusteringBatch, ranked: np.ndarray, y_hat: np.ndarray) -> _CellBatch:
+    """``_fit_cell`` of every cell of a batch, bit for bit: ``ranked`` holds
+    each cell's tree predictions in proximity order (C, trees, w), ``y_hat``
+    its forest prediction (C, w).  The surrogate adds the weighted
+    representatives' predictions cluster after cluster from +0.0."""
+    n = clusterings.assignments.shape[1]
+    weights = clusterings.sizes / n
+    picked = np.take_along_axis(ranked, clusterings.representatives[:, :, None], axis=1)
+    surrogates = np.zeros((weights.shape[0], ranked.shape[2]))
+    for c in range(weights.shape[1]):
+        surrogates += weights[:, c:c + 1] * picked[:, c]
+    return _CellBatch(clusterings, weights, surrogates, 1.0 - _norms(y_hat - surrogates))
 
 
 def _explanation(forest: Forest, routes: _Routes, selected: np.ndarray,
@@ -298,6 +344,15 @@ def tune_and_explain(
     return explain_batch(forest, [x], grid, mode, flags, [seed])[0]
 
 
+# Instances tuned in one lockstep: enough for large same-shape groups, few
+# enough that their routes and rule vectors stay small.
+_LOCKSTEP_INSTANCES = 64
+# Fewer same-shape K > 1 cells than this in one step cluster one at a time
+# (``SortedRows.kmeans``); from this count on, one ``kmeans_batch`` for the
+# group costs less than the cells alone (measured crossover, see CHANGES.md).
+_BATCH_CELLS = 5
+
+
 def explain_batch(
     forest: Forest,
     X,
@@ -312,9 +367,14 @@ def explain_batch(
 
     The seeds of all the batch's K > 1 cells, and the generators they key,
     are hashed together (``_seeds``), bit for bit what ``derive_seed`` and
-    ``np.random.default_rng`` give one at a time; then each instance is
-    tuned on its own, so each explanation is the one ``tune_and_explain``
-    gives alone."""
+    ``np.random.default_rng`` give one at a time.  The instances are then
+    tuned in lockstep, ``_LOCKSTEP_INSTANCES`` at a time, one (tau, d) step
+    of their grids at a time, and each keeps only its best cell so far;
+    each instance still visits its own cells in grid order, so each
+    explanation is the one ``tune_and_explain`` gives alone.  Within a
+    step, the K > 1 cells of one shape (tau, effective d, effective K > 1)
+    are clustered by one ``kmeans_batch`` when there are at least
+    ``_BATCH_CELLS`` of them."""
     grid = grid or TuningGrid()
     m = len(X)
     modes = [mode] * m if isinstance(mode, str) else list(mode)
@@ -336,40 +396,107 @@ def explain_batch(
     parts = [(seeds[i], index) for i in range(m)
              for index in range(len(axes[arms[i]][0]) * len(axes[arms[i]][1]) * len(grid.ks))
              if grid.ks[index % len(grid.ks)] > 1]
-    keys = iter(generator_keys(derive_seeds(parts)))  # in the order the cells are tuned
+    keys = iter(generator_keys(derive_seeds(parts)))  # instance after instance, in grid order
 
     explanations = []
-    for x, mode_i, arm in zip(X, modes, arms):
-        taus, dims = axes[arm]
+    for lo in range(0, m, _LOCKSTEP_INSTANCES):
+        tunings = [_Tuning.start(forest, X[i], modes[i], axes[arms[i]], grid.ks, keys)
+                   for i in range(lo, min(m, lo + _LOCKSTEP_INSTANCES))]
+        for s in range(max(len(t.steps) for t in tunings)):
+            _tune_step(forest.p, grid.ks, [t for t in tunings if s < len(t.steps)], s)
+        explanations += [_explanation(forest, t.routes, *t.best, t.mode) for t in tunings]
+    return explanations
+
+
+@dataclass
+class _Tuning:
+    """One instance's tuning state: its routes, its rule vectors in
+    proximity order, its (tau, dim) steps in grid order, the generator keys
+    of its K > 1 cells in grid order and its best cell so far."""
+
+    routes: _Routes
+    stacked: np.ndarray
+    steps: list[tuple[int, int | None]]
+    keys: Iterator[np.ndarray]
+    mode: str
+    spectrum: tuple | None = None  # (tau, Spectrum) of the current tau
+    best: tuple | None = None  # (selected, projected, effective d, _Cell, K)
+    best_key: tuple | None = None
+
+    @classmethod
+    def start(cls, forest: Forest, x: np.ndarray, mode: str, axes: tuple, ks: tuple[int, ...],
+              keys: Iterator[np.ndarray]) -> "_Tuning":
+        """Route x, stack its rule vectors and take its cells' keys from
+        ``keys``."""
+        taus, dims = axes
         routes = _route(forest, x)
         stacked = path_vectors(forest.arena, routes.levels[:, routes.order[:max(taus)]].T,
-                               mode_i, forest.p)
-        best: tuple | None = None
-        best_key: tuple | None = None
-        for tau in taus:
-            selected = routes.order[:tau]
-            vectors = stacked[:tau]
-            spectrum = None
-            for dim in dims:
-                if dim is None:
-                    projection = identity_projection(forest.p)
-                else:
-                    if spectrum is None:
-                        spectrum = pca_spectrum(vectors)
-                    projection = spectrum.projection(min(dim, forest.p))
-                projected = pca_transform(projection, vectors)
-                rows = sorted_rows(projected)
-                effective_d = projection.n_components
-                for k in grid.ks:
-                    rng = keyed_generator(next(keys)) if k > 1 else None
-                    cell = _fit_cell(routes, selected, rows.kmeans(k, rng))
-                    key = (-cell.fidelity, k, effective_d, tau)
-                    if best_key is None or key < best_key:
-                        best_key = key
-                        best = (selected, projected, effective_d, cell, k)
-        assert best is not None
-        explanations.append(_explanation(forest, routes, *best, mode_i))
-    return explanations
+                               mode, forest.p)
+        steps = [(tau, dim) for tau in taus for dim in dims]
+        own_keys = [next(keys) for _ in range(len(steps) * sum(k > 1 for k in ks))]
+        return cls(routes, stacked, steps, iter(own_keys), mode)
+
+    @cached_property
+    def ranked(self) -> np.ndarray:
+        """The trees' predictions in proximity order."""
+        return self.routes.preds[self.routes.order]
+
+    def project(self, p: int, tau: int, dim: int | None) -> tuple[np.ndarray, SortedRows, int]:
+        """(projected, sorted rows, effective d) of the step (tau, dim):
+        one eigendecomposition per tau serves all its dimensions."""
+        vectors = self.stacked[:tau]
+        if dim is None:
+            projection = identity_projection(p)
+        else:
+            if self.spectrum is None or self.spectrum[0] != tau:
+                self.spectrum = (tau, pca_spectrum(vectors))
+            projection = self.spectrum[1].projection(min(dim, p))
+        projected = pca_transform(projection, vectors)
+        return projected, sorted_rows(projected), projection.n_components
+
+    def offer(self, tau: int, projected: np.ndarray, effective_d: int, k: int,
+              fidelity: float, cell) -> None:
+        """Keep the cell when it beats the best so far: higher fidelity, then
+        smaller K, effective d and tau; ``cell()`` builds its ``_Cell``."""
+        key = (-fidelity, k, effective_d, tau)
+        if self.best_key is None or key < self.best_key:
+            self.best_key = key
+            self.best = (self.routes.order[:tau], projected, effective_d, cell(), k)
+
+
+def _tune_step(p: int, ks: tuple[int, ...], active: list[_Tuning], s: int) -> None:
+    """Evaluate step ``s`` of every active tuning: all cluster counts at its
+    (tau, dim)."""
+    cells = []  # (tuning, tau, projected, effective d, K, rows, generator)
+    for t in active:
+        tau, dim = t.steps[s]
+        projected, rows, effective_d = t.project(p, tau, dim)
+        cells += [(t, tau, projected, effective_d, k, rows,
+                   keyed_generator(next(t.keys)) if k > 1 else None) for k in ks]
+    groups: dict[tuple[int, int, int], list[int]] = {}  # shape -> its cells
+    if len(cells) >= _BATCH_CELLS:  # else no group can reach it
+        for j, (_, tau, _, effective_d, k, rows, _) in enumerate(cells):
+            k_eff = min(k, rows.distinct)
+            if k_eff > 1:
+                groups.setdefault((tau, effective_d, k_eff), []).append(j)
+
+    batched = {}  # cell -> (its group's _CellBatch, its place there)
+    for (_, _, k_eff), members in groups.items():
+        if len(members) >= _BATCH_CELLS:
+            clusterings = kmeans_batch([cells[j][5] for j in members], k_eff,
+                                       [cells[j][6] for j in members])
+            batch = _fit_cells(clusterings, np.stack([cells[j][0].ranked for j in members]),
+                               np.stack([cells[j][0].routes.y_hat for j in members]))
+            batched.update((j, (batch, c)) for c, j in enumerate(members))
+    # each instance's cells in grid order
+    for j, (t, tau, projected, effective_d, k, rows, rng) in enumerate(cells):
+        if j in batched:
+            batch, c = batched[j]
+            t.offer(tau, projected, effective_d, k, float(batch.fidelities[c]),
+                    lambda: batch.cell(c))
+        else:
+            cell = _fit_cell(t.routes, t.routes.order[:tau], rows.kmeans(k, rng))
+            t.offer(tau, projected, effective_d, k, cell.fidelity, lambda: cell)
 
 
 # ---------------------------------------------------------------------------

@@ -1006,6 +1006,8 @@ def fit_forests(train: Dataset, params_list: Sequence[ForestParams]) -> list[For
     X = np.ascontiguousarray(train.covariates, dtype=np.float64)
     if not np.isfinite(X).all():
         raise ValueError("fit_forest expects finite covariates")
+    if not np.isfinite(train.targets).all():
+        raise ValueError("fit_forest expects finite targets")
     keys = rank_keys(X)
     Y = np.ascontiguousarray(train.targets, dtype=np.float64)
     n = train.n

@@ -11,10 +11,19 @@ rows: each centroid is its members' sum, row after row from +0.0, divided
 by their count, which is bit for bit ``mean(axis=0)`` of the member rows
 when there are two or more columns.  numpy sums a single column pairwise,
 so one-column matrices keep ``mean(axis=0)``.
+
+``kmeans_batch`` clusters many matrices of one shape at once, bit for bit
+``SortedRows.kmeans`` of each: every generator draws its own seeds in the
+per-matrix order, and each Lloyd pass is one set of array operations over
+the (matrices, n, d) stack, which numpy reduces matrix by matrix exactly as
+it reduces one matrix alone (a single column through ``segment_sums``).
+It pays off from a handful of matrices on; the explainer uses it for the
+same-shape grid cells of many instances.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -249,6 +258,157 @@ class SortedRows:
         assignments[order] = assign
         return Clustering(k, centroids, assignments, sizes,
                           _representatives(d2, assign, sizes, order))
+
+
+def _stacked_distances(Xs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """(cells, n, k) squared distances from each cell's rows (cells, n, d)
+    to its centroids (cells, k, d), bit for bit ``_squared_distances`` of
+    each cell: one centroid at a time, so the differences stay (cells, n,
+    d)."""
+    d2 = np.empty(Xs.shape[:2] + centroids.shape[1:2])
+    for j in range(centroids.shape[1]):
+        diff = Xs - centroids[:, j:j + 1]
+        d2[:, :, j] = np.einsum("cik,cik->ci", diff, diff)
+    return d2
+
+
+def _own(d2: np.ndarray) -> np.ndarray:
+    """Each row's squared distance to its nearest centroid: the minimum,
+    which is the bytes of the distance at the argmin, since squared
+    distances are never -0.0."""
+    return d2.min(axis=-1)
+
+
+@dataclass(frozen=True)
+class ClusteringBatch:
+    """The clusterings of C cells of one shape: (C, k, d) centroids, (C, n)
+    assignments in each cell's input row order, (C, k) sizes and (C, k)
+    representatives."""
+
+    centroids: np.ndarray
+    assignments: np.ndarray
+    sizes: np.ndarray
+    representatives: np.ndarray
+
+    def cell(self, c: int) -> Clustering:
+        """Cell c's clustering, copied out of the batch's arrays."""
+        return Clustering(self.sizes.shape[1], self.centroids[c].copy(),
+                          self.assignments[c].copy(), self.sizes[c].copy(),
+                          self.representatives[c].copy())
+
+
+def kmeans_batch(cells: Sequence[SortedRows], n_clusters: int,
+                 rngs: Sequence[np.random.Generator], max_iter: int = 100,
+                 inertia_traces: Sequence[list] | None = None) -> ClusteringBatch:
+    """``cells[c].kmeans(n_clusters, rngs[c], max_iter, inertia_traces[c])``
+    of every cell at once, bit for bit, for cells of one shape (n, d) with
+    at least ``n_clusters`` >= 2 distinct rows each (so no clamp and no
+    closed form applies).
+
+    Each cell draws its K-Means++ seeds from its own generator in the
+    per-cell order; every seeding distance, Lloyd assignment and centroid
+    sum then runs over the (cells, n, d) stack, where numpy reduces each
+    cell's rows exactly as it reduces them alone.  A cell whose pass leaves
+    a cluster empty is repaired on its own; a cell whose assignment reaches
+    its fixpoint is finished and dropped from the stack, and one
+    ``lexsort`` ranks every cell's members for the representatives.  One
+    column is summed pairwise, as numpy sums it (``segment_sums``).
+    """
+    k = n_clusters
+    Xs = np.stack([cell.rows for cell in cells])
+    order = np.stack([cell.order for cell in cells])
+    C, n, d = Xs.shape
+    if k < 2 or any(cell.distinct < k for cell in cells):
+        raise ValueError("need at least n_clusters >= 2 distinct rows per cell")
+    if len(rngs) != C or (inertia_traces is not None and len(inertia_traces) != C):
+        raise ValueError("need one generator (and inertia trace) per cell")
+    ids = np.arange(C)
+
+    # K-Means++: each generator draws its first row, then one uniform per
+    # further centroid (``random(k - 1)`` gives the k - 1 single draws)
+    first, draws = [], []
+    for rng in rngs:
+        first.append(int(rng.integers(n)))
+        draws.append(rng.random(k - 1))
+    u = np.array(draws)
+    centroids = np.empty((C, k, d))
+    centroids[:, 0] = Xs[ids, first]
+    best_d2 = np.sum((Xs - centroids[:, :1]) ** 2, axis=2)
+    for c in range(1, k):
+        cum = np.cumsum(best_d2 / best_d2.sum(axis=1, keepdims=True), axis=1)
+        # searchsorted(side="right") in a non-decreasing row (NaNs trail)
+        pick = np.count_nonzero(cum <= u[:, c - 1:c], axis=1)
+        lost = (pick >= n) | (best_d2[ids, np.minimum(pick, n - 1)] == 0.0)
+        pick = np.where(lost, best_d2.argmax(axis=1), pick)
+        centroids[:, c] = Xs[ids, pick]
+        if c + 1 < k:
+            best_d2 = np.minimum(best_d2, np.sum((Xs - centroids[:, c:c + 1]) ** 2, axis=2))
+
+    # Lloyd over the cells still iterating (``live``); a finished cell
+    # keeps the centroids, sorted-row assignment, sizes and own distances
+    # (each row's distance to its centroid) of its last pass
+    done_centroids = np.empty((C, k, d))
+    done_assign = np.empty((C, n), dtype=np.intp)
+    done_sizes = np.empty((C, k), dtype=np.int64)
+    done_own = np.empty((C, n))
+    live = ids
+    offsets = ids[:, None] * k  # each live cell's first cluster bin
+    columns = np.arange(d)
+    assign = None
+    for it in range(max_iter + 1):
+        d2 = _stacked_distances(Xs, centroids)
+        new_assign = d2.argmin(axis=2)
+        sizes = np.bincount((offsets + new_assign).ravel(), minlength=offsets.size * k)
+        sizes = sizes.reshape(-1, k)
+        if not sizes.all():
+            for j in np.flatnonzero((sizes == 0).any(axis=1)):
+                # ``SortedRows.kmeans``'s repair, on cell j alone
+                while not sizes[j].all():
+                    own = d2[j][np.arange(n), new_assign[j]]
+                    centroids[j, int(sizes[j].argmin())] = Xs[j, int(own.argmax())]
+                    d2[j] = _squared_distances(Xs[j], centroids[j])
+                    new_assign[j] = d2[j].argmin(axis=1)
+                    sizes[j] = np.bincount(new_assign[j], minlength=k)
+        if inertia_traces is not None and it < max_iter:
+            for cell, total in zip(live, _own(d2).sum(axis=1)):
+                inertia_traces[cell].append(float(total))
+        if it == max_iter:
+            finished = np.ones(live.size, dtype=bool)
+        elif assign is None:
+            finished = np.zeros(live.size, dtype=bool)
+        else:
+            finished = ~(assign != new_assign).any(axis=1)
+        if finished.any():
+            cells_done = live[finished]
+            done_centroids[cells_done] = centroids[finished]
+            done_assign[cells_done] = new_assign[finished]
+            done_sizes[cells_done] = sizes[finished]
+            done_own[cells_done] = _own(d2[finished])
+            if finished.all():
+                break
+            keep = ~finished
+            live, Xs, new_assign, sizes = live[keep], Xs[keep], new_assign[keep], sizes[keep]
+            offsets = offsets[:live.size]
+        assign = new_assign
+        if d == 1:
+            # numpy sums a single column pairwise: each cluster's members,
+            # in sorted row order, are one segment of ``segment_sums``
+            members = np.argsort((offsets + assign).ravel(), kind="stable")
+            sums = segment_sums(Xs.reshape(-1, 1)[members], sizes.ravel())
+        else:
+            bins = ((offsets + assign)[:, :, None] * d + columns).ravel()
+            sums = np.bincount(bins, weights=Xs.ravel(), minlength=offsets.size * d)
+        centroids = sums.reshape(-1, k, d) / sizes[:, :, None]
+
+    assignments = np.empty((C, n), dtype=np.int64)
+    assignments[ids[:, None], order] = done_assign
+    # per cell, rows by (cluster, own distance, input row), as
+    # ``_representatives`` ranks them
+    ranked = np.lexsort((order.ravel(), done_own.ravel(), done_assign.ravel(),
+                         np.repeat(ids, n)))
+    heads = ids[:, None] * n + np.cumsum(done_sizes, axis=1) - done_sizes
+    return ClusteringBatch(done_centroids, assignments, done_sizes,
+                           order.ravel()[ranked[heads]])
 
 
 def sorted_rows(X: np.ndarray) -> SortedRows:

@@ -4,6 +4,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bellatrex
@@ -531,3 +532,72 @@ def test_explain_without_instances_is_usage_error(binary_files, tmp_path, capsys
     assert code == 2
     assert "--instances names no rows" in err
     assert not list(out.glob("instance_*"))
+
+
+@pytest.mark.parametrize("schema_text, header, bad_row, target", [
+    ("task=regression\ntarget=y\n", "x,y", "0.5,inf", "y"),
+    ("task=regression\ntarget=y\n", "x,y", "0.5,-Infinity", "y"),
+    ("task=survival\ntime=t\nevent=e\n", "x,t,e", "0.5,inf,1", "t"),
+])
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+def test_infinite_target_is_data_error(tmp_path, capsys, schema_text, header, bad_row, target,
+                                       command):
+    # an infinite target used to train a forest of NaN node predictions
+    # (train exited 0) and a benchmark of NaN performance; survival times
+    # of inf trained and explained
+    lines = [f"{(i % 7) / 7},{1 + i % 5}" + (",1" if "e" in header else "") for i in range(40)]
+    lines[17] = bad_row
+    data = tmp_path / "inf_target.csv"
+    data.write_text(header + "\n" + "\n".join(lines) + "\n")
+    schema = tmp_path / "schema.txt"
+    schema.write_text(schema_text)
+    out = tmp_path / "out"
+    code = run([command, "--data", data, "--schema", schema, "--trees", 3, "--folds", 2,
+                "--out", out] if command == "benchmark" else
+               [command, "--data", data, "--schema", schema, "--trees", 3, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert f"target {target!r} is infinite in row 17" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["benchmark", "ablate"])
+@pytest.mark.parametrize("option", [["--mode", "simple"], ["--no-preselect"], ["--no-pca"]])
+def test_cross_validation_rejects_explain_only_options(binary_files, tmp_path, capsys, command,
+                                                       option):
+    # benchmark runs both modes and ablate every arm; these options used to
+    # be accepted and ignored
+    _, data, schema = binary_files
+    out = tmp_path / "bench"
+    with pytest.raises(SystemExit) as exc:
+        run([command, "--data", data, "--schema", schema, "--trees", 5, "--grid-tau", 4,
+             *option, "--out", out])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_explain_keeps_pipeline_options():
+    args = cli.build_parser().parse_args(
+        ["explain", "--data", "d.csv", "--forest", "f.json", "--instances", "0", "--out", "o",
+         "--mode", "simple", "--no-preselect", "--no-pca"])
+    assert (args.mode, args.no_preselect, args.no_pca) == ("simple", True, True)
+
+
+def test_overflowing_target_range_trains(tmp_path, capsys):
+    # targets of -1.5e308 and 1.7e308: hi - lo overflowed, and the forest
+    # was grown on NaN targets
+    lines = [f"{(i % 7) / 7},{(-1.5e308, 1.7e308, 0.0, 1e307)[i % 4]!r}" for i in range(40)]
+    data = tmp_path / "wide.csv"
+    data.write_text("x,y\n" + "\n".join(lines) + "\n")
+    schema = tmp_path / "schema.txt"
+    schema.write_text("task=regression\ntarget=y\n")
+    out = tmp_path / "model"
+    code = run(["train", "--data", data, "--schema", schema, "--trees", 3, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 0, err
+    assert "Traceback" not in err
+    forest = load_forest(out / "forest.json")
+    assert all(np.isfinite(tree.node_pred).all() for tree in forest.trees)

@@ -183,6 +183,29 @@ def test_target_normalization_uses_fold_stats_and_clips():
     assert scaled.targets[2, 0] == 1.0  # outside the training range, clipped
 
 
+def test_overflowing_target_range_scales_by_halves():
+    # hi - lo overflows to inf here; the scaled targets used to be NaN and 0
+    # with an "invalid value" warning
+    targets = np.array([[-1.5e308, 2.0], [1.7e308, 4.0], [0.0, 10.0], [1e308, 3.0]])
+    ds = Dataset(
+        task=TaskKind.MULTI_TARGET,
+        covariates=np.zeros((4, 1)),
+        covariate_names=("a",),
+        targets=targets,
+        target_names=("y", "z"),
+        preprocessed=True,
+    )
+    with np.errstate(all="raise"):
+        scaled = scale_targets(ds).targets
+    lo, hi = -1.5e308, 1.7e308
+    assert scaled[:, 0].tolist() == [0.0, 1.0, (0.0 - lo / 2) / (hi / 2 - lo / 2),
+                                     (1e308 / 2 - lo / 2) / (hi / 2 - lo / 2)]
+    assert 0.0 < scaled[2, 0] < scaled[3, 0] < 1.0
+    # a range that does not overflow keeps the plain formula's bytes
+    expected = np.clip((targets[:, 1] - 2.0) / 8.0, 0.0, 1.0)
+    assert scaled[:, 1].tobytes() == expected.tobytes()
+
+
 def test_constant_target_maps_to_zeros():
     ds = Dataset(
         task=TaskKind.REGRESSION,

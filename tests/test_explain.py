@@ -11,6 +11,7 @@ from bellatrex.explain import (
     AblationFlags,
     TuningGrid,
     derive_seed,
+    explain_batch,
     explain_fixed,
     plot_tsv,
     preselect,
@@ -366,6 +367,34 @@ def test_tuned_explanation_is_explain_fixed_at_its_cell(task):
                 tuned = tune_and_explain(forest, x, grid, mode, flags=flags, seed=seed)
                 assert_same_explanation(
                     tuned, exhaustive_winner(forest, x, grid, mode, flags, seed))
+
+
+@pytest.mark.parametrize("task", sorted(TASK_DATA) + ["one-covariate"])
+def test_explain_batch_equals_per_instance_tuning(task, monkeypatch):
+    # mixed modes and all four arms, in a batch cut into lockstep chunks of
+    # 12 (each chunk mostly one or two (mode, arm) pairs): most steps hold
+    # same-shape groups large enough for kmeans_batch, and one covariate
+    # (d = 1) clusters one column
+    ds = make_regression(70, 1, seed=26) if task == "one-covariate" else TASK_DATA[task]()
+    forest = fit_forest(ds, ForestParams(n_trees=14, seed=3))
+    grid = TuningGrid(taus=(4, 9), dims=(2, 8, None), ks=(1, 2, 3))
+    requests = [(row, (MODE_SIMPLE, MODE_WEIGHTED)[j % 2], ALL_FLAGS[j % 4], 7 * row + j)
+                for j in range(8) for row in (0, 5, 12, 20, 33, 41, 50, 60)]
+    batches = []
+    kmeans_batch = explain_mod.kmeans_batch
+
+    def counted(cells, *args):
+        batches.append(len(cells))
+        return kmeans_batch(cells, *args)
+
+    monkeypatch.setattr(explain_mod, "kmeans_batch", counted)
+    monkeypatch.setattr(explain_mod, "_LOCKSTEP_INSTANCES", 12)
+    rows, modes, flags, seeds = zip(*requests)
+    explained = explain_batch(forest, ds.covariates[list(rows)], grid, modes, flags, seeds)
+    assert batches and min(batches) >= explain_mod._BATCH_CELLS
+    for (row, mode, arm, seed), got in zip(requests, explained):
+        assert_same_explanation(
+            got, tune_and_explain(forest, ds.covariates[row], grid, mode, arm, seed))
 
 
 # ---------------------------------------------------------------------------

@@ -1099,6 +1099,22 @@ def test_fit_rejects_infinite_covariates():
         fit_forest(dataset_from(X, [0, 0, 1, 1, 0, 1]), ForestParams(n_trees=1))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_fit_rejects_non_finite_targets(bad):
+    # a regression target of inf used to grow NaN node predictions
+    ds = make_regression(30, 2, seed=4)
+    targets = ds.targets.copy()
+    targets[7, 0] = bad
+    with pytest.raises(ValueError, match="finite targets"):
+        fit_forest(dataclasses.replace(ds, targets=targets), ForestParams(n_trees=2))
+    survival = make_survival(30, 2, seed=5)
+    targets = survival.targets.copy()
+    targets[3, 0] = bad
+    with pytest.raises(ValueError, match="finite targets"):
+        fit_forests(dataclasses.replace(survival, targets=targets),
+                    [ForestParams(n_trees=2), ForestParams(n_trees=1)])
+
+
 def test_min_split_default_by_task():
     assert ForestParams().resolve_min_split(TaskKind.BINARY) == 5
     assert ForestParams().resolve_min_split(TaskKind.SURVIVAL) == 10

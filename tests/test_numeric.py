@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 
+import bellatrex.numeric as numeric_mod
 from bellatrex.numeric import (
     _complete_basis,
     _squared_distances,
     _fix_signs,
     identity_projection,
+    kmeans_batch,
     kmeans_pp,
     nearest_point,
     pca_fit,
@@ -442,6 +444,82 @@ def test_kmeans_permutation_invariant_partition(rng):
         assert match_partitions(a.assignments.tolist(),
                                 labels_in_original_order.tolist())
         assert sorted(a.sizes.tolist()) == sorted(b.sizes.tolist())
+
+
+def random_group(rng, size, n, d, k):
+    """``size`` sorted-row matrices of shape (n, d) with at least k distinct
+    rows each: plain, with duplicate rows, or rounded (distance ties and
+    -0.0 entries)."""
+    cells = []
+    while len(cells) < size:
+        X = rng.normal(size=(n, d)) * rng.uniform(0.01, 100.0, size=d)
+        kind = len(cells) % 3
+        if kind == 1:
+            X = X[rng.integers(0, max(k, n // 3), size=n)]
+        elif kind == 2:
+            X = np.round(X / np.abs(X).max())
+        rows = sorted_rows(X)
+        if rows.distinct >= k:
+            cells.append(rows)
+    return cells
+
+
+def assert_batch_equals_per_cell(cells, k, seeds, max_iter):
+    traces = [[] for _ in cells]
+    batch = kmeans_batch(cells, k, [np.random.default_rng(s) for s in seeds], max_iter, traces)
+    for c, (rows, seed) in enumerate(zip(cells, seeds)):
+        trace: list[float] = []
+        expected = rows.kmeans(k, seed, max_iter, trace)
+        got = batch.cell(c)
+        assert got.n_clusters == expected.n_clusters == k
+        for name in ("centroids", "assignments", "sizes", "representatives"):
+            assert_bitwise(getattr(got, name), getattr(expected, name))
+        assert traces[c] == trace
+
+
+@pytest.mark.parametrize("max_iter", [0, 1, 2, 100])
+def test_kmeans_batch_equals_per_cell_kmeans(rng, max_iter):
+    for trial in range(40):
+        size = int(rng.integers(1, 50)) if trial % 4 else 1
+        k = int(rng.integers(2, 6))
+        n = int(rng.integers(k + 1, 90))
+        d = 1 + trial % 8
+        cells = random_group(rng, size, n, d, k)
+        assert_batch_equals_per_cell(cells, k, rng.integers(0, 2**32, size=size).tolist(),
+                                     max_iter)
+
+
+def test_kmeans_batch_empty_cluster_repair(rng, monkeypatch):
+    # the cell of test_kmeans_empty_cluster_repair, among random cells of
+    # its shape: its Lloyd pass leaves a cluster empty
+    X = np.array([[-0.0, 2.0], [0.0, 0.0], [4.0, -0.0], [1.0, -3.0],
+                  [-0.0, -3.0], [-0.0, 1.0], [0.0, 2.0], [5.0, 1.0]])
+    cells = random_group(rng, 6, 8, 2, 4)
+    cells.insert(2, sorted_rows(X))
+    seeds = rng.integers(0, 2**32, size=len(cells)).tolist()
+    seeds[2] = 175
+    repairs = []
+    distances = numeric_mod._squared_distances
+
+    def counted(Xs, centroids):
+        repairs.append(Xs.shape)
+        return distances(Xs, centroids)
+
+    monkeypatch.setattr(numeric_mod, "_squared_distances", counted)
+    kmeans_batch(cells, 4, [np.random.default_rng(s) for s in seeds])
+    assert repairs  # the batch repaired a cell on its own
+    monkeypatch.undo()
+    assert_batch_equals_per_cell(cells, 4, seeds, 100)
+
+
+def test_kmeans_batch_rejects_cells_it_cannot_cluster():
+    rows = sorted_rows(np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 3.0]]))
+    with pytest.raises(ValueError, match="distinct"):
+        kmeans_batch([rows], 3, [np.random.default_rng(0)])
+    with pytest.raises(ValueError, match="distinct"):
+        kmeans_batch([rows], 1, [np.random.default_rng(0)])
+    with pytest.raises(ValueError, match="generator"):
+        kmeans_batch([rows, rows], 2, [np.random.default_rng(0)])
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Interleaved parent/change pairs of ``perfbench/run.py`` runs, as JSON.
+
+    python3 tools/bench_pairs.py --parent ../parent --change . \\
+        --workload desk-regression --pairs 10 --seconds 35 --seed 1 --out BENCH.json
+
+Each pair runs the workload once in each checkout, one process at a time;
+even pairs run the parent first, odd pairs the change.  For every gated
+end-to-end metric the file records both sides' runs, medians and
+quartiles, and the pairs in which the change is better; it also records
+each run's digest line and environment line.  An existing ``--out`` file
+gains the workload as one more entry of ``runs``.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("op_ms_p50", "setup_s", "peak_rss_mb")  # all "lower is better"
+
+
+def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds),
+         "--seed", str(seed)], cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    return {
+        "correct": result["correct"],
+        "failed": result["failed"],
+        "metrics": {name: result["metrics"][name]["value"] for name in METRICS},
+        "digest": next(line for line in lines if line.startswith("digest ")),
+        "env": next(line for line in lines if line.startswith("# env ")),
+    }
+
+
+def summary(values: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"runs": values, "median": median, "q1": q1, "q3": q3}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True)
+    parser.add_argument("--change", type=Path, required=True)
+    parser.add_argument("--workload", required=True)
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=35.0)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+
+    runs = {"parent": [], "change": []}
+    for pair in range(args.pairs):
+        for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
+            runs[side].append(run_once(getattr(args, side), args.workload, args.seconds, args.seed))
+            print(f"pair {pair} {side}: {runs[side][-1]['metrics']}", flush=True)
+
+    entry = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+             "pairs": args.pairs, "first_side": "parent on even pairs, change on odd pairs",
+             "correct": all(r["correct"] and not r["failed"] for side in runs.values() for r in side),
+             "metrics": {}}
+    for name in METRICS:
+        parent = [r["metrics"][name] for r in runs["parent"]]
+        change = [r["metrics"][name] for r in runs["change"]]
+        entry["metrics"][name] = {
+            "parent": summary(parent), "change": summary(change),
+            "change_better_pairs": sum(c < p for p, c in zip(parent, change)),
+        }
+    for side, side_runs in runs.items():
+        entry[f"{side}_digests"] = sorted({r["digest"] for r in side_runs})
+        entry[f"{side}_env"] = side_runs[0]["env"]
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
+    doc["runs"].append(entry)
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
