@@ -1,7 +1,7 @@
 """Command-line surface: train, explain, benchmark, ablate.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal failure.
-BELLATREX_THREADS caps worker threads; results do not depend on it.
+Every command runs on one thread; BELLATREX_THREADS is no longer read.
 """
 from __future__ import annotations
 
@@ -121,16 +121,21 @@ def _tuning_grid(args) -> TuningGrid:
 
 
 def _out_dir(args) -> Path:
+    """``--out``, checked before any work: the path, or else its nearest
+    existing ancestor, must be a directory.  Writers create it."""
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    existing = next(path for path in (out, *out.parents) if path.exists())
+    if not existing.is_dir():
+        raise ValueError(f"--out {out}: {existing} is not a directory")
     return out
 
 
 def cmd_train(args) -> None:
+    out = _out_dir(args)
     ds = _load_dataset(args)
     params = _forest_params(args)
     forest = fit_forest(ds, params)
-    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     save_forest(forest, out / "forest.json")
 
     errs = oob_errors(forest, ds)
@@ -164,6 +169,7 @@ def _select_instances(args, ds: Dataset) -> list[int]:
 
 
 def cmd_explain(args) -> None:
+    out = _out_dir(args)
     ds = _load_dataset(args)
     forest = load_forest(args.forest)
     if forest.task is not ds.task:
@@ -177,10 +183,10 @@ def cmd_explain(args) -> None:
     grid.validate(forest.n_trees)
     flags = AblationFlags(skip_preselection=args.no_preselect,
                           skip_projection=args.no_pca)
-    out = _out_dir(args)
     rows = _select_instances(args, ds)
     explanations = explain_batch(forest, ds.covariates[rows], grid, args.mode, flags,
                                  [derive_seed(args.seed, 909, row) for row in rows])
+    out.mkdir(parents=True, exist_ok=True)
     for row, explanation in zip(rows, explanations):
         stem = out / f"instance_{row}"
         stem.with_suffix(".txt").write_text(
@@ -207,9 +213,10 @@ def _cross_validate(args, run, stem: str, tsv, doc) -> None:
     """Run ``run`` (``run_benchmark`` or ``run_ablation``) on the data and
     write its result as ``stem``.tsv (``tsv(result)``) and ``stem``.json
     (``doc(result)``)."""
+    out = _out_dir(args)
     ds = _load_dataset(args, scale=False)
     result = run(ds, args.name or Path(args.data).stem, _benchmark_config(args))
-    out = _out_dir(args)
+    out.mkdir(parents=True, exist_ok=True)
     (out / f"{stem}.tsv").write_text(tsv(result))
     (out / f"{stem}.json").write_text(json.dumps(doc(result), indent=2) + "\n")
     print(f"wrote {out / stem}.tsv and {out / stem}.json")

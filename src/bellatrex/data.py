@@ -161,7 +161,11 @@ def parse_schema(path: str | Path) -> tuple[TaskKind, TargetSpec]:
     time_col: str | None = None
     event_col: str | None = None
     categorical: tuple[str, ...] = ()
-    for lineno, raw_line in enumerate(Path(path).read_text().splitlines(), start=1):
+    try:
+        text = Path(path).read_text()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode the file ({exc})") from None
+    for lineno, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
@@ -195,6 +199,13 @@ def parse_schema(path: str | Path) -> tuple[TaskKind, TargetSpec]:
 def _read_rows(path: str | Path) -> tuple[list[str], list[list[str]]]:
     if not Path(path).is_file():
         raise DataError(f"{path}: no such file")
+    try:
+        return _read_csv(path)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: cannot decode the file ({exc})") from None
+
+
+def _read_csv(path: str | Path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:

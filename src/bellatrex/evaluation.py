@@ -15,14 +15,12 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ._parallel import map_groups
 from .data import Dataset, FoldPlan, kfold, scale_targets
 from .errors import UndefinedMetricError
 from .explain import (
     MODE_SIMPLE,
     MODE_WEIGHTED,
     AblationFlags,
-    Explanation,
     TuningGrid,
     derive_seed,
     explain_batch,
@@ -105,15 +103,15 @@ def baseline_oob_trees(forest: Forest, oob_errs: np.ndarray, x: np.ndarray,
     return np.mean(forest.arena.node_pred[route(forest, x)[-1, chosen]], axis=0)
 
 
-def _paths_outcome(forest: Forest, paths: np.ndarray) -> tuple[float, float | None]:
+def _paths_outcome(forest: Forest, paths: np.ndarray, mode: str) -> tuple[float, float | None]:
     """(complexity, dissimilarity) of the rules whose paths are the rows of
     ``paths`` (arena node ids, see ``path_vectors``): the number of split
-    nodes on all of them, and the dissimilarity of their weighted rule
-    vectors (None for a single rule)."""
+    nodes on all of them, and the dissimilarity of their rule vectors in
+    ``mode`` (None for a single rule)."""
     complexity = float(np.count_nonzero(forest.arena.is_split[paths]))
     if paths.shape[0] < 2:
         return complexity, None
-    return complexity, dissimilarity(path_vectors(forest.arena, paths, MODE_WEIGHTED, forest.p))
+    return complexity, dissimilarity(path_vectors(forest.arena, paths, mode, forest.p))
 
 
 # ---------------------------------------------------------------------------
@@ -167,17 +165,6 @@ def _fold_setup(ds: Dataset, config: BenchmarkConfig, fold: int, plan,
     return train, ds_f.subset(test_idx), test_idx, forests
 
 
-def _explain_fold(forest: Forest, X: np.ndarray, grid: TuningGrid,
-                  requests: list[tuple[int, str, AblationFlags, int]]) -> list[Explanation]:
-    """``explain_batch`` of the (row of X, mode, flags, seed) requests, in
-    order: one contiguous group of requests per worker thread."""
-    def explain_group(group: slice) -> list[Explanation]:
-        rows, modes, flags, seeds = zip(*requests[group])
-        return explain_batch(forest, X[list(rows)], grid, modes, flags, seeds)
-
-    return map_groups(explain_group, len(requests))
-
-
 def _small_rf_params(config: BenchmarkConfig, fold: int, k: int) -> ForestParams:
     return replace(config.params, n_trees=k, seed=derive_seed(config.seed, 404, fold, k))
 
@@ -205,12 +192,13 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
         _fold_performance(ds.task, rf_preds, test, name, METHOD_RF, fold),
     ))
 
+    # every mode's explanations in one batch, mode after mode
     m = test_idx.size
-    explained = _explain_fold(forest, X_test, config.grid, [
-        (i, mode, AblationFlags(),
-         derive_seed(config.seed, 303, fold, int(test_idx[i]), _MODE_IDS[mode]))
-        for mode in config.modes for i in range(m)
-    ])
+    explained = explain_batch(
+        forest, np.tile(X_test, (len(config.modes), 1)), config.grid,
+        [mode for mode in config.modes for _ in range(m)], AblationFlags(),
+        [derive_seed(config.seed, 303, fold, int(test_idx[i]), _MODE_IDS[mode])
+         for mode in config.modes for i in range(m)])
     explanations = {mode: explained[j * m:(j + 1) * m] for j, mode in enumerate(config.modes)}
 
     for mode, method in ((MODE_WEIGHTED, METHOD_BTX_WEIGHTED),
@@ -219,14 +207,14 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
             continue
         expl = explanations[mode]
         preds = np.vstack([e.surrogate for e in expl])
-        perf = _fold_performance(ds.task, preds, test, name, method, fold)
-        complexity_vals = [float(sum(e.rule_lengths)) for e in expl]
-        dissim_vals = [dissimilarity(e.final_vectors()) for e in expl if e.chosen_k >= 2]
+        rule_paths = [levels[:, i, [r.tree_index for r in e.final_rules]].T
+                      for i, e in enumerate(expl)]
+        rule_outcomes = [_paths_outcome(forest, paths, mode) for paths in rule_paths]
         outcomes.append(_FoldOutcome(
             method,
-            perf,
-            complexity=_mean_or_none(complexity_vals),
-            dissim=_mean_or_none(dissim_vals),
+            _fold_performance(ds.task, preds, test, name, method, fold),
+            complexity=_mean_or_none([c for c, _ in rule_outcomes]),
+            dissim=_mean_or_none([d for _, d in rule_outcomes]),
             mean_rules=float(np.mean([e.chosen_k for e in expl])),
         ))
 
@@ -240,8 +228,8 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
             train, [_small_rf_params(config, fold, k) for k in clamped])))
     small_levels = {k: route_batch(small_cache[k], X_test) for k in sorted(set(ks))}
     small_means = {k: leaf_mean(small_cache[k], small_levels[k][-1]) for k in small_levels}
-    small_outcomes = [_paths_outcome(small_cache[ks[i]], small_levels[ks[i]][:, i].T)
-                      for i in range(m)]
+    small_outcomes = [_paths_outcome(small_cache[ks[i]], small_levels[ks[i]][:, i].T,
+                                     MODE_WEIGHTED) for i in range(m)]
     outcomes.append(_FoldOutcome(
         METHOD_SMALL_RF,
         _fold_performance(ds.task, np.vstack([small_means[ks[i]][i] for i in range(m)]),
@@ -257,7 +245,7 @@ def _evaluate_fold(ds: Dataset, name: str, config: BenchmarkConfig, fold: int,
     for i in range(m):
         chosen = err_order[: ks[i]]
         oob_preds.append(np.mean(forest.arena.node_pred[levels[-1, i, chosen]], axis=0))
-        oob_outcomes.append(_paths_outcome(forest, levels[:, i, chosen].T))
+        oob_outcomes.append(_paths_outcome(forest, levels[:, i, chosen].T, MODE_WEIGHTED))
     outcomes.append(_FoldOutcome(
         METHOD_OOB_TREES,
         _fold_performance(ds.task, np.vstack(oob_preds), test, name, METHOD_OOB_TREES, fold),
@@ -331,11 +319,12 @@ def run_ablation(dataset: Dataset, name: str, config: BenchmarkConfig) -> list[d
     def fold_rows(fold: int, plan: FoldPlan) -> list[dict]:
         _, test, test_idx, (forest,) = _fold_setup(dataset, config, fold, plan)
         m = test_idx.size
-        explained = _explain_fold(forest, test.covariates, config.grid, [
-            (i, MODE_WEIGHTED, flags,
-             derive_seed(config.seed, 606, fold, int(test_idx[i]), arm_index))
-            for arm_index, (_, flags) in enumerate(ABLATION_ARMS) for i in range(m)
-        ])
+        # every arm's explanations in one batch, arm after arm
+        explained = explain_batch(
+            forest, np.tile(test.covariates, (len(ABLATION_ARMS), 1)), config.grid,
+            MODE_WEIGHTED, [flags for _, flags in ABLATION_ARMS for _ in range(m)],
+            [derive_seed(config.seed, 606, fold, int(test_idx[i]), arm_index)
+             for arm_index in range(len(ABLATION_ARMS)) for i in range(m)])
         rows = []
         for arm_index, (arm, _) in enumerate(ABLATION_ARMS):
             expl = explained[arm_index * m:(arm_index + 1) * m]

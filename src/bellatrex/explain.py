@@ -112,16 +112,6 @@ class Explanation:
     def rule_lengths(self) -> list[int]:
         return [r.length for r in self.final_rules]
 
-    def final_vectors(self) -> np.ndarray:
-        """(K, p) rule vectors of the final rules in the explanation's mode,
-        from their steps."""
-        steps = [step for rule in self.final_rules for step in rule.steps[:-1]]
-        return _count_vectors(
-            np.repeat(np.arange(len(self.final_rules)), self.rule_lengths),
-            np.array([step.feature for step in steps], dtype=np.intp),
-            np.array([step.sample_fraction for step in steps], dtype=np.float64),
-            len(self.final_rules), self.mode, self.instance.size)
-
 
 def _check_tau(forest: Forest, tau: int) -> None:
     if not 1 <= tau <= forest.n_trees:

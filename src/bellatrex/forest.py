@@ -9,7 +9,7 @@ candidate thresholds are midpoints between consecutive distinct sorted
 values (or the lower value, where the midpoint would not separate them);
 gain ties resolve to the lowest covariate index, then the lowest
 threshold.  Training is bit-deterministic: tree i draws from an RNG stream
-seeded by (seed, i), independent of thread count.
+seeded by (seed, i).
 
 The trees of a forest grow in lockstep (``_grow_trees``) on index
 segments: the trees' samples lie end to end in one index array, and a node
@@ -44,9 +44,8 @@ along each candidate of each node, non-cuts (equal neighbours) masked, and
 prefix sums, from which Gini and variance gains follow.  Nodes are bucketed by
 the power of two at or above their row count and cut into chunks of at
 most ``_BATCH_CELLS`` padded cells, which bounds the memory of a step.  A
-node's split depends on its own rows only, so a forest does not depend on
-how its trees are grouped: ``fit_forest`` gives each worker thread one
-contiguous group.
+node's split depends on its own rows only, so a tree does not depend on
+the trees it grows beside.
 
 A survival node is searched on its own by ``best_split``.  It has one
 event table (``_event_tables`` at the root, ``EventTable.subset`` of its
@@ -88,7 +87,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from ._parallel import map_groups
+from ._parallel import parallel_map
 from .data import Dataset, TaskKind
 from .errors import ForestFileError, UndefinedMetricError
 from .metrics import higher_is_better, performance_metric
@@ -248,8 +247,6 @@ class Forest:
         """The stacked node arena, built on first use (a loaded forest's on
         load, by its validation) and again after ``trees`` is replaced."""
         if self._arena is None or self._arena.trees is not self.trees:
-            # threads that race here stack the same trees into equal
-            # arenas, so whichever assignment lands last is as good
             self._arena = stack_trees(self.trees)
         return self._arena
 
@@ -980,11 +977,10 @@ def fit_forests(train: Dataset, params_list: Sequence[ForestParams]) -> list[For
 
     The covariates are ranked once, and every forest's trees are drawn as
     ``fit_forest`` draws them (tree i of a forest from its RNG stream
-    (seed, i)).  All the trees are then cut into one contiguous group per
-    worker thread, and each group grows in one lockstep (``_grow_trees``),
-    whatever forest its trees belong to.  A tree does not depend on the
-    group it grew in, so each forest is bit for bit the forest that
-    ``fit_forest`` grows alone, whatever BELLATREX_THREADS is.
+    (seed, i)).  All the trees then grow in one lockstep (``_grow_trees``),
+    whatever forest they belong to.  A tree does not depend on the trees it
+    grows beside, so each forest is bit for bit the forest that
+    ``fit_forest`` grows alone.
     """
     if not train.preprocessed:
         raise ValueError("fit_forest expects a preprocessed Dataset")
@@ -1024,13 +1020,15 @@ def fit_forests(train: Dataset, params_list: Sequence[ForestParams]) -> list[For
         sample = rng.integers(0, n, size=n)
         return sample, np.setdiff1d(everything, np.unique(sample)), rng
 
-    def grow(group: slice) -> list[Tree]:
-        samples, oobs, rngs = zip(*(draw(*job) for job in jobs[group]))
-        min_split, mtry, max_depth = per_tree[group].T
+    def grow(jobs: list[tuple[ForestParams, int]]) -> list[Tree]:
+        samples, oobs, rngs = zip(*(draw(*job) for job in jobs))
+        min_split, mtry, max_depth = per_tree.T
         return _grow_trees(X, keys, Y, train.task, list(samples), list(oobs), list(rngs),
                            min_split, mtry, max_depth, event_grid)
 
-    trees = map_groups(grow, len(jobs))
+    if not jobs:
+        return []
+    (trees,) = parallel_map(grow, [jobs])
     forests = []
     for params, (min_split, mtry, _) in zip(params_list, settings):
         own, trees = trees[:params.n_trees], trees[params.n_trees:]
@@ -1052,11 +1050,11 @@ def fit_forest(train: Dataset, params: ForestParams) -> Forest:
     """Grow ``params.n_trees`` trees on bootstrap samples of the training set.
 
     Tree i draws bootstrap and split candidates from an RNG stream seeded by
-    (params.seed, i).  The trees are cut into one contiguous group per
-    worker thread, and each group grows in lockstep (``_grow_trees``); a
-    tree does not depend on the group it grew in, so identical inputs give
-    bit-identical forests regardless of BELLATREX_THREADS, and a forest
-    grown in a pool with others (``fit_forests``, of which this is a pool of
+    (params.seed, i), and all the trees grow in one lockstep
+    (``_grow_trees``).  A tree does not depend on the trees it grows beside,
+    so identical inputs give bit-identical forests, the first k trees of a
+    forest are the forest of k trees, and a forest grown in a pool with
+    others (``fit_forests``, of which this is a pool of
     one) is identical to the forest grown alone.
     """
     return fit_forests(train, [params])[0]

@@ -103,6 +103,57 @@ def test_duplicate_header_is_data_error(tmp_path, capsys):
     assert not (tmp_path / "m" / "forest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "benchmark"])
+@pytest.mark.parametrize("where", ["schema", "data"])
+def test_undecodable_input_is_data_error(binary_files, tmp_path, capsys, where, command):
+    # a UnicodeDecodeError is a ValueError, so these files used to be a
+    # "usage error" (exit 2)
+    _, data, schema = binary_files
+    bad = {"data": data, "schema": schema}[where]
+    bad.write_bytes(bad.read_bytes().replace(b"\n", b"\n\xff\xfe", 1))
+    out = tmp_path / "m"
+    code = run([command, "--data", data, "--schema", schema, "--trees", 3, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 3, err
+    assert err.startswith("data error: ") and str(bad) in err and "decode" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "explain", "benchmark", "ablate"])
+@pytest.mark.parametrize("below", [False, True], ids=["file", "below-file"])
+def test_out_that_cannot_be_a_directory_is_usage_error(binary_files, tmp_path, capsys,
+                                                       monkeypatch, command, below):
+    # the directory used to be made only after the work: train fitted the
+    # forest and benchmark and ablate cross-validated, then each ended in a
+    # FileExistsError or NotADirectoryError traceback (exit 1)
+    _, data, schema = binary_files
+    model = tmp_path / "model"
+    assert run(["train", "--data", data, "--schema", schema, "--trees", 5, "--out", model]) == 0
+    capsys.readouterr()
+    taken = tmp_path / "taken"
+    taken.write_text("keep")
+    out = taken / "sub" if below else taken
+    extra = {"train": ["--trees", 3],
+             "explain": ["--forest", model / "forest.json", "--instances", "0",
+                         "--grid-tau", "4"],
+             "benchmark": ["--trees", 5, "--folds", 2, "--grid-tau", "4"],
+             "ablate": ["--trees", 5, "--folds", 2, "--grid-tau", "4"]}[command]
+
+    def no_work(*args, **kwargs):
+        pytest.fail("the input was read before --out was checked")
+
+    monkeypatch.setattr(cli, "_load_dataset", no_work)
+    code = run([command, "--data", data, "--schema", schema, *extra, "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("usage error: ") and f"{taken} is not a directory" in err
+    assert "Traceback" not in err
+    assert taken.read_text() == "keep"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        ["data.csv", "schema.txt", "model", "taken"])
+
+
 def test_missing_file_is_data_error(tmp_path):
     code = run(["train", "--data", tmp_path / "absent.csv", "--task", "binary",
                 "--target", "label", "--out", tmp_path / "m"])

@@ -1,4 +1,5 @@
 import json
+import threading
 
 import numpy as np
 import pytest
@@ -18,8 +19,8 @@ from bellatrex.evaluation import (
     run_ablation,
     run_benchmark,
 )
-from bellatrex.explain import MODE_SIMPLE, TuningGrid
-from bellatrex.forest import ForestParams, fit_forest, forest_predict
+from bellatrex.explain import MODE_SIMPLE, TuningGrid, explain_batch
+from bellatrex.forest import ForestParams, fit_forest, fit_forests, forest_predict
 from bellatrex.metrics import (
     DECISION_LIST,
     RULE_COLLECTION,
@@ -399,12 +400,10 @@ REFERENCE_DATA = {
 }
 
 
-@pytest.mark.parametrize("threads", ["1", "2", "3"])
 @pytest.mark.parametrize("kind", sorted(REFERENCE_DATA))
-def test_reports_equal_the_one_at_a_time_loop(kind, threads, monkeypatch):
+def test_reports_equal_the_one_at_a_time_loop(kind):
     import fold_reference
 
-    monkeypatch.setenv("BELLATREX_THREADS", threads)
     ds = REFERENCE_DATA[kind]()
     configs = [
         BenchmarkConfig(folds=2, max_test=5, seed=7, params=ForestParams(n_trees=9),
@@ -421,6 +420,23 @@ def test_reports_equal_the_one_at_a_time_loop(kind, threads, monkeypatch):
         assert benchmark_tsv(*got) == benchmark_tsv(*expected)
         assert json.dumps(benchmark_json(*got)) == json.dumps(benchmark_json(*expected))
         assert run_ablation(ds, kind, config) == fold_reference.run_ablation(ds, kind, config)
+
+
+def test_no_thread_is_started(monkeypatch):
+    # BELLATREX_THREADS used to cut fits and fold explanations into one
+    # group per worker thread; it is no longer read
+    def refuse(thread):
+        raise AssertionError(f"thread {thread.name} started")
+
+    monkeypatch.setenv("BELLATREX_THREADS", "4")
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    ds = REFERENCE_DATA["regression"]()
+    forest, _ = fit_forests(ds, [ForestParams(n_trees=9, seed=1), ForestParams(n_trees=3)])
+    assert len(explain_batch(forest, ds.covariates[:6], TuningGrid(taus=(4, 9)))) == 6
+    config = BenchmarkConfig(folds=2, max_test=5, params=ForestParams(n_trees=9),
+                             grid=TuningGrid(taus=(4, 9), dims=(2, None), ks=(1, 2)))
+    rows, _ = run_benchmark(ds, "d", config)
+    assert len(rows) == 2 * 6
 
 
 def test_clamped_k_outside_the_grid_is_covered():

@@ -951,18 +951,18 @@ def test_fit_deterministic():
     assert json.dumps(forest_to_dict(a)) == json.dumps(forest_to_dict(b))
 
 
-def test_fit_thread_independent(monkeypatch):
-    # the trees are grown in one lockstep group per thread; 8 threads give
-    # each of the 5 trees a group of its own.  Multi-target and multi-label
-    # node values take the row-after-row sum, the others the pairwise sum
+def test_fit_thread_independent():
+    # a tree does not depend on the trees it grows beside in the lockstep:
+    # the first k trees of a 5-tree forest are the k-tree forest.
+    # Multi-target and multi-label node values take the row-after-row sum,
+    # the others the pairwise sum
     for ds in (make_binary(80, 5, seed=3), make_regression(80, 5, seed=4),
                make_multitarget(80, 5, 3, seed=6), make_multilabel(80, 5, 3, seed=7),
                make_survival(90, 5, seed=5)):
-        forests = []
-        for threads in ("1", "2", "3", "8"):
-            monkeypatch.setenv("BELLATREX_THREADS", threads)
-            forests.append(_fit_json(ds, ForestParams(n_trees=5, seed=7)))
-        assert forests[1:] == forests[:1] * 3
+        trees = forest_to_dict(fit_forest(ds, ForestParams(n_trees=5, seed=7)))["trees"]
+        for k in range(1, 5):
+            alone = forest_to_dict(fit_forest(ds, ForestParams(n_trees=k, seed=7)))["trees"]
+            assert json.dumps(alone) == json.dumps(trees[:k])
 
 
 POOL_DATA = {
@@ -974,13 +974,11 @@ POOL_DATA = {
 }
 
 
-@pytest.mark.parametrize("threads", ["1", "3"])
 @pytest.mark.parametrize("kind", sorted(POOL_DATA))
-def test_pooled_forests_equal_forests_fitted_alone(kind, threads, monkeypatch):
+def test_pooled_forests_equal_forests_fitted_alone(kind):
     # one lockstep for forests of 1 to 100 trees, with and without
     # bootstrap, drawn (mtry < p) and full (mtry = p) candidates and a
     # depth limit; each is the forest that fit_forest grows alone
-    monkeypatch.setenv("BELLATREX_THREADS", threads)
     ds = POOL_DATA[kind]()
     pool = [
         ForestParams(n_trees=100, seed=3),

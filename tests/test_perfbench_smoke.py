@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 # The digest of each workload's first forest, explanation or report at
@@ -72,6 +74,21 @@ def test_traced_run_reports_every_declared_layer():
     for name, metric in result["metrics"].items():
         assert isinstance(metric["value"], (int, float)), name
         assert math.isfinite(metric["value"]), name
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_bench_pairs_needs_two_pairs(tmp_path, pairs):
+    # one pair ran both benchmark processes, then statistics.quantiles
+    # raised and nothing was written
+    out = tmp_path / "bench.json"
+    done = subprocess.run(
+        [sys.executable, "tools/bench_pairs.py", "--parent", ".", "--change", ".",
+         "--workload", "desk-regression", "--pairs", pairs, "--out", str(out)],
+        cwd=ROOT, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 2
+    assert "need at least 2 pairs" in done.stderr and "Traceback" not in done.stderr
+    assert done.stdout == "" and not out.exists()
 
 
 def _refuse_constant(name):

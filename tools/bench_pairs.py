@@ -43,12 +43,20 @@ def summary(values: list[float]) -> dict:
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
 
 
+def pair_count(raw: str) -> int:
+    """``--pairs``: quartiles need at least two runs a side."""
+    pairs = int(raw)
+    if pairs < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 pairs for quartiles, got {pairs}")
+    return pairs
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True)
     parser.add_argument("--change", type=Path, required=True)
     parser.add_argument("--workload", required=True)
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=pair_count, default=10)
     parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
