@@ -2,11 +2,14 @@
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal failure.
 Every command runs on one thread; BELLATREX_THREADS is no longer read.
+``-v`` sends the package's INFO log lines (such as the preprocessing
+summary of dropped rows and imputed cells) to stderr.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import logging
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -239,6 +242,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "with a few representative decision rules.",
     )
     parser.add_argument("--version", action="version", version=__version__)
+    parser.add_argument("-v", "--verbose", action="store_true",
+                        help="log progress and data summaries to stderr")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="fit and serialize a forest")
@@ -284,6 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    package_log = logging.getLogger("bellatrex")
+    handler, level = logging.StreamHandler(sys.stderr), package_log.level
+    handler.setFormatter(logging.Formatter("%(levelname)s %(name)s: %(message)s"))
+    if args.verbose:
+        package_log.addHandler(handler)
+        package_log.setLevel(logging.INFO)
     try:
         args.func(args)
     except DataError as exc:
@@ -295,6 +306,9 @@ def main(argv: list[str] | None = None) -> int:
     except (BellatrexError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return 4
+    finally:
+        package_log.removeHandler(handler)
+        package_log.setLevel(level)
     return 0
 
 

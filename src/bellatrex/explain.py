@@ -21,18 +21,21 @@ import numpy as np
 
 from ._seeds import derive_seeds, generator_keys, keyed_generator
 from .data import TaskKind
-from .forest import Forest, NodeArena, PathStep, path_length, path_steps, route
+from .forest import Forest, NodeArena, PathStep, path_length, path_steps, route, route_batch
 from .numeric import (
     Clustering,
     ClusteringBatch,
     SortedRows,
     identity_projection,
     kmeans_batch,
+    kmeans_one,
     kmeans_pp,
     pca_fit,
+    pca_spectra,
     pca_spectrum,
     pca_transform,
     sorted_rows,
+    sorted_stack,
 )
 
 MODE_SIMPLE = "simple"
@@ -129,20 +132,38 @@ class _Routes:
     order: np.ndarray  # trees by prediction proximity, stable
 
 
+def _routed(forest: Forest, x: np.ndarray, levels: np.ndarray) -> _Routes:
+    """The routes of x from its ``route`` level matrix.  Trees are ordered
+    by the Euclidean distance of their prediction to the forest prediction;
+    the stable sort keeps tree order on ties."""
+    preds = forest.arena.node_pred[levels[-1]]
+    y_hat = preds.mean(axis=0)
+    order = np.argsort(np.linalg.norm(preds - y_hat, axis=1), kind="stable")
+    return _Routes(x=x, levels=levels, preds=preds, y_hat=y_hat, order=order)
+
+
 def _route(forest: Forest, x: np.ndarray) -> _Routes:
-    """Validate x and route it through every tree.  Trees are ordered by the
-    Euclidean distance of their prediction to the forest prediction; the
-    stable sort keeps tree order on ties."""
+    """Validate x and route it through every tree."""
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (forest.p,):
         raise ValueError(f"instance must have shape ({forest.p},), got {x.shape}")
     if not np.all(np.isfinite(x)):
         raise ValueError("instance has a non-finite value")
-    levels = route(forest, x)
-    preds = forest.arena.node_pred[levels[-1]]
-    y_hat = preds.mean(axis=0)
-    order = np.argsort(np.linalg.norm(preds - y_hat, axis=1), kind="stable")
-    return _Routes(x=x, levels=levels, preds=preds, y_hat=y_hat, order=order)
+    return _routed(forest, x, route(forest, x))
+
+
+def _instances(forest: Forest, X) -> np.ndarray:
+    """X validated as an (m, p) array of instances; an empty sequence is
+    no instance."""
+    X = np.asarray(X, dtype=np.float64)
+    if X.shape == (0,):
+        X = X.reshape(0, forest.p)
+    if X.ndim != 2 or X.shape[1] != forest.p:
+        raise ValueError(f"instances must have shape (m, {forest.p}), got {X.shape}")
+    finite = np.isfinite(X).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"instance {int(np.argmin(finite))} has a non-finite value")
+    return X
 
 
 def preselect(forest: Forest, x: np.ndarray, tau: int) -> np.ndarray:
@@ -337,7 +358,12 @@ def tune_and_explain(
 # Instances tuned in one lockstep: enough for large same-shape groups, few
 # enough that their routes and rule vectors stay small.
 _LOCKSTEP_INSTANCES = 64
-# Fewer same-shape K > 1 cells than this in one step cluster one at a time
+# Fewer instances than this at one (tau, dim) step are projected, sorted and
+# solved at K = 1 one at a time (``_Tuning.project``, ``SortedRows.kmeans``);
+# from this count on, the block's array kernels cost less (measured
+# crossover, see CHANGES.md).
+_BATCH_INSTANCES = 3
+# Fewer same-shape K > 1 cells than this in one block cluster one at a time
 # (``SortedRows.kmeans``); from this count on, one ``kmeans_batch`` for the
 # group costs less than the cells alone (measured crossover, see CHANGES.md).
 _BATCH_CELLS = 5
@@ -351,9 +377,10 @@ def explain_batch(
     flags: AblationFlags | Sequence[AblationFlags] = AblationFlags(),
     seeds: Sequence[int] | None = None,
 ) -> list[Explanation]:
-    """``tune_and_explain`` of every instance (row) of ``X``.  ``mode`` and
-    ``flags`` are one value for all instances or one per instance, and
-    ``seeds`` holds each instance's seed (0 for all when omitted).
+    """``tune_and_explain`` of every instance (row) of ``X``, an (m, p)
+    array.  ``mode`` and ``flags`` are one value for all instances or one
+    per instance, and ``seeds`` holds each instance's seed (0 for all when
+    omitted).
 
     The seeds of all the batch's K > 1 cells, and the generators they key,
     are hashed together (``_seeds``), bit for bit what ``derive_seed`` and
@@ -361,12 +388,16 @@ def explain_batch(
     tuned in lockstep, ``_LOCKSTEP_INSTANCES`` at a time, one (tau, d) step
     of their grids at a time, and each keeps only its best cell so far;
     each instance still visits its own cells in grid order, so each
-    explanation is the one ``tune_and_explain`` gives alone.  Within a
-    step, the K > 1 cells of one shape (tau, effective d, effective K > 1)
-    are clustered by one ``kmeans_batch`` when there are at least
+    explanation is the one ``tune_and_explain`` gives alone.  A lockstep
+    routes its instances once and vectorizes their rules once; a step's
+    instances at one (tau, d) are projected, sorted and solved at K = 1
+    together once there are ``_BATCH_INSTANCES`` of them, and the K > 1
+    cells of one shape (tau, effective d, effective K > 1) among them are
+    clustered by one ``kmeans_batch`` when there are at least
     ``_BATCH_CELLS`` of them."""
     grid = grid or TuningGrid()
-    m = len(X)
+    X = _instances(forest, X)
+    m = X.shape[0]
     modes = [mode] * m if isinstance(mode, str) else list(mode)
     arms = [flags] * m if isinstance(flags, AblationFlags) else list(flags)
     seeds = [0] * m if seeds is None else list(seeds)
@@ -390,20 +421,23 @@ def explain_batch(
 
     explanations = []
     for lo in range(0, m, _LOCKSTEP_INSTANCES):
-        tunings = [_Tuning.start(forest, X[i], modes[i], axes[arms[i]], grid.ks, keys)
-                   for i in range(lo, min(m, lo + _LOCKSTEP_INSTANCES))]
-        for s in range(max(len(t.steps) for t in tunings)):
-            _tune_step(forest.p, grid.ks, [t for t in tunings if s < len(t.steps)], s)
-        explanations += [_explanation(forest, t.routes, *t.best, t.mode) for t in tunings]
+        chunk = range(lo, min(m, lo + _LOCKSTEP_INSTANCES))
+        lockstep = _Lockstep(forest, X[lo:chunk.stop], [modes[i] for i in chunk],
+                             [axes[arms[i]] for i in chunk], grid.ks, keys)
+        for s in range(max(len(t.steps) for t in lockstep.tunings)):
+            lockstep.step(s)
+        explanations += [_explanation(forest, t.routes, *t.best, t.mode) for t in lockstep.tunings]
     return explanations
 
 
 @dataclass
 class _Tuning:
-    """One instance's tuning state: its routes, its rule vectors in
-    proximity order, its (tau, dim) steps in grid order, the generator keys
-    of its K > 1 cells in grid order and its best cell so far."""
+    """One instance's tuning state: its place in the lockstep, its routes,
+    its rule vectors in proximity order, its (tau, dim) steps in grid order,
+    the generator keys of its K > 1 cells in grid order and its best cell so
+    far."""
 
+    index: int
     routes: _Routes
     stacked: np.ndarray
     steps: list[tuple[int, int | None]]
@@ -412,24 +446,6 @@ class _Tuning:
     spectrum: tuple | None = None  # (tau, Spectrum) of the current tau
     best: tuple | None = None  # (selected, projected, effective d, _Cell, K)
     best_key: tuple | None = None
-
-    @classmethod
-    def start(cls, forest: Forest, x: np.ndarray, mode: str, axes: tuple, ks: tuple[int, ...],
-              keys: Iterator[np.ndarray]) -> "_Tuning":
-        """Route x, stack its rule vectors and take its cells' keys from
-        ``keys``."""
-        taus, dims = axes
-        routes = _route(forest, x)
-        stacked = path_vectors(forest.arena, routes.levels[:, routes.order[:max(taus)]].T,
-                               mode, forest.p)
-        steps = [(tau, dim) for tau in taus for dim in dims]
-        own_keys = [next(keys) for _ in range(len(steps) * sum(k > 1 for k in ks))]
-        return cls(routes, stacked, steps, iter(own_keys), mode)
-
-    @cached_property
-    def ranked(self) -> np.ndarray:
-        """The trees' predictions in proximity order."""
-        return self.routes.preds[self.routes.order]
 
     def project(self, p: int, tau: int, dim: int | None) -> tuple[np.ndarray, SortedRows, int]:
         """(projected, sorted rows, effective d) of the step (tau, dim):
@@ -444,49 +460,151 @@ class _Tuning:
         projected = pca_transform(projection, vectors)
         return projected, sorted_rows(projected), projection.n_components
 
-    def offer(self, tau: int, projected: np.ndarray, effective_d: int, k: int,
-              fidelity: float, cell) -> None:
-        """Keep the cell when it beats the best so far: higher fidelity, then
-        smaller K, effective d and tau; ``cell()`` builds its ``_Cell``."""
-        key = (-fidelity, k, effective_d, tau)
+    def beats(self, key: tuple) -> bool:
+        """Whether a cell of this key (-fidelity, K, effective d, tau)
+        beats the best so far: higher fidelity, then smaller K, effective d
+        and tau.  Its key is then the best."""
         if self.best_key is None or key < self.best_key:
             self.best_key = key
-            self.best = (self.routes.order[:tau], projected, effective_d, cell(), k)
+            return True
+        return False
 
 
-def _tune_step(p: int, ks: tuple[int, ...], active: list[_Tuning], s: int) -> None:
-    """Evaluate step ``s`` of every active tuning: all cluster counts at its
-    (tau, dim)."""
-    cells = []  # (tuning, tau, projected, effective d, K, rows, generator)
-    for t in active:
-        tau, dim = t.steps[s]
-        projected, rows, effective_d = t.project(p, tau, dim)
-        cells += [(t, tau, projected, effective_d, k, rows,
-                   keyed_generator(next(t.keys)) if k > 1 else None) for k in ks]
-    groups: dict[tuple[int, int, int], list[int]] = {}  # shape -> its cells
-    if len(cells) >= _BATCH_CELLS:  # else no group can reach it
-        for j, (_, tau, _, effective_d, k, rows, _) in enumerate(cells):
-            k_eff = min(k, rows.distinct)
-            if k_eff > 1:
-                groups.setdefault((tau, effective_d, k_eff), []).append(j)
+class _Lockstep:
+    """Instances tuned together, one step of their grids at a time.  They
+    are routed by one ``route_batch``, and their rule vectors are one
+    (instances, width, p) array in each instance's proximity order."""
 
-    batched = {}  # cell -> (its group's _CellBatch, its place there)
-    for (_, _, k_eff), members in groups.items():
-        if len(members) >= _BATCH_CELLS:
-            clusterings = kmeans_batch([cells[j][5] for j in members], k_eff,
-                                       [cells[j][6] for j in members])
-            batch = _fit_cells(clusterings, np.stack([cells[j][0].ranked for j in members]),
-                               np.stack([cells[j][0].routes.y_hat for j in members]))
-            batched.update((j, (batch, c)) for c, j in enumerate(members))
-    # each instance's cells in grid order
-    for j, (t, tau, projected, effective_d, k, rows, rng) in enumerate(cells):
-        if j in batched:
-            batch, c = batched[j]
-            t.offer(tau, projected, effective_d, k, float(batch.fidelities[c]),
-                    lambda: batch.cell(c))
+    def __init__(self, forest: Forest, X: np.ndarray, modes: list[str], axes: list[tuple],
+                 ks: tuple[int, ...], keys: Iterator[np.ndarray]):
+        self.p, self.ks = forest.p, ks
+        levels = route_batch(forest, X)  # (depth + 1, instances, trees)
+        routes = [_routed(forest, x, levels[:, i]) for i, x in enumerate(X)]
+        # as many rule vectors per instance as the largest tau needs
+        width = max(max(taus) for taus, _ in axes)
+        orders = np.stack([r.order[:width] for r in routes])
+        paths = levels[:, np.arange(len(routes))[:, None], orders].transpose(1, 2, 0)
+        self.vectors = np.empty((len(routes), width, forest.p))
+        for mode in set(modes):
+            mine = [i for i, own in enumerate(modes) if own == mode]
+            self.vectors[mine] = path_vectors(
+                forest.arena, paths[mine].reshape(len(mine) * width, -1), mode, forest.p,
+            ).reshape(len(mine), width, forest.p)
+        self.tunings = []
+        for i, (route_i, (taus, dims)) in enumerate(zip(routes, axes)):
+            steps = [(tau, dim) for tau in taus for dim in dims]
+            own_keys = [next(keys) for _ in range(len(steps) * sum(k > 1 for k in ks))]
+            self.tunings.append(_Tuning(i, route_i, self.vectors[i], steps, iter(own_keys), modes[i]))
+        self.spectra: dict[tuple[int, ...], tuple] = {}  # members -> (tau, SpectrumStack)
+
+    @cached_property
+    def ranked(self) -> np.ndarray:
+        """(instances, trees, w): each instance's tree predictions in its
+        proximity order."""
+        return np.stack([t.routes.preds[t.routes.order] for t in self.tunings])
+
+    @cached_property
+    def y_hat(self) -> np.ndarray:
+        """(instances, w) forest predictions."""
+        return np.stack([t.routes.y_hat for t in self.tunings])
+
+    def step(self, s: int) -> None:
+        """Evaluate step ``s`` of every tuning that has one: all cluster
+        counts at its (tau, dim), the tunings at one (tau, dim) together
+        once there are ``_BATCH_INSTANCES`` of them."""
+        groups: dict[tuple[int, int | None], list[_Tuning]] = {}
+        for t in self.tunings:
+            if s < len(t.steps):
+                groups.setdefault(t.steps[s], []).append(t)
+        for (tau, dim), members in groups.items():
+            if len(members) < _BATCH_INSTANCES:
+                for t in members:
+                    self._fit_alone(t, tau, dim)
+            else:
+                self._fit_block(members, tau, dim)
+
+    def _fit_alone(self, t: _Tuning, tau: int, dim: int | None) -> None:
+        """Step (tau, dim) of one tuning: each cell clustered by
+        ``SortedRows.kmeans`` and offered in grid order."""
+        projected, rows, effective_d = t.project(self.p, tau, dim)
+        selected = t.routes.order[:tau]
+        for k in self.ks:
+            rng = keyed_generator(next(t.keys)) if k > 1 else None
+            cell = _fit_cell(t.routes, selected, rows.kmeans(k, rng))
+            if t.beats((-cell.fidelity, k, effective_d, tau)):
+                t.best = (selected, projected, effective_d, cell, k)
+
+    def _fit_block(self, members: list[_Tuning], tau: int, dim: int | None) -> None:
+        """Step (tau, dim) of many tunings at once.  Their first tau rule
+        vectors are projected as one stack (one ``pca_spectra`` per tau,
+        shared by its dimensions) and sorted by one ``sorted_stack``; every
+        cell clamped to one cluster is solved by one ``kmeans_one``, and the
+        K > 1 cells of one effective K by one ``kmeans_batch`` when there
+        are ``_BATCH_CELLS`` of them.  Each tuning then compares its cells
+        in grid order; only a cell that wins is built (``_Cell``), and its
+        projected rows are copied out of the stack."""
+        ks = self.ks
+        place = tuple(t.index for t in members)
+        vectors = self.vectors[list(place), :tau]
+        if dim is None:
+            identity = identity_projection(self.p)  # pca_transform of every matrix
+            projected = (vectors - identity.mean) @ identity.components.T
         else:
-            cell = _fit_cell(t.routes, t.routes.order[:tau], rows.kmeans(k, rng))
-            t.offer(tau, projected, effective_d, k, cell.fidelity, lambda: cell)
+            if self.spectra.get(place, (None,))[0] != tau:
+                self.spectra[place] = (tau, pca_spectra(vectors))
+            projected = self.spectra[place][1].projected(dim)
+        effective_d = projected.shape[2]
+        rows = sorted_stack(projected)
+        distinct = rows.distinct.tolist()
+
+        # per tuning and cluster count: (fidelity, its _CellBatch and place
+        # there, or its _Cell and None)
+        one = [c for c, n in enumerate(distinct) if min(n, *ks) == 1]
+        solved = dict(zip(one, self._fit_batch(members, one, kmeans_one(rows[one])))) if one else {}
+        fits = []
+        shapes: dict[int, list] = {}  # effective K > 1 -> [(tuning, K's place, key)]
+        for c, t in enumerate(members):
+            own = []
+            for j, k in enumerate(ks):
+                key = next(t.keys) if k > 1 else None
+                if min(k, distinct[c]) == 1:
+                    own.append(solved[c])
+                else:
+                    own.append(None)
+                    shapes.setdefault(min(k, distinct[c]), []).append((c, j, key))
+            fits.append(own)
+        for k_eff, cells in shapes.items():
+            if len(cells) >= _BATCH_CELLS:
+                rngs = [keyed_generator(key) for _, _, key in cells]
+                chosen = [c for c, _, _ in cells]
+                done = self._fit_batch(members, chosen, kmeans_batch(rows[chosen], k_eff, rngs))
+            else:
+                done = []
+                for c, j, key in cells:
+                    routes = members[c].routes
+                    cell = _fit_cell(routes, routes.order[:tau],
+                                     rows.cell(c).kmeans(ks[j], keyed_generator(key)))
+                    done.append((cell.fidelity, cell, None))
+            for (c, j, _), fit in zip(cells, done):
+                fits[c][j] = fit
+
+        for c, (t, own) in enumerate(zip(members, fits)):
+            won = None
+            for j, k in enumerate(ks):
+                if t.beats((-own[j][0], k, effective_d, tau)):
+                    won = j
+            if won is not None:
+                _, source, i = own[won]
+                cell = source if i is None else source.cell(i)
+                t.best = (t.routes.order[:tau], projected[c].copy(), effective_d, cell, ks[won])
+
+    def _fit_batch(self, members: list[_Tuning], chosen: list[int],
+                   clusterings: ClusteringBatch) -> list[tuple]:
+        """The fits of the clusterings of the tunings ``chosen`` among
+        ``members``."""
+        index = [members[c].index for c in chosen]
+        batch = _fit_cells(clusterings, self.ranked[index], self.y_hat[index])
+        return [(fidelity, batch, i) for i, fidelity in enumerate(batch.fidelities.tolist())]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,11 @@ the (matrices, n, d) stack, which numpy reduces matrix by matrix exactly as
 it reduces one matrix alone (a single column through ``segment_sums``).
 It pays off from a handful of matrices on; the explainer uses it for the
 same-shape grid cells of many instances.
+
+The explainer's tuning step runs on such stacks too: ``pca_spectra``
+centres, decomposes and projects a stack of rule matrices, ``sorted_stack``
+sorts it with one ``lexsort`` and ``kmeans_one`` solves its K = 1 cells in
+closed form, each bit for bit its one-matrix counterpart.
 """
 from __future__ import annotations
 
@@ -53,12 +58,13 @@ class Clustering:
 
 
 def _fix_signs(components: np.ndarray) -> np.ndarray:
-    out = components.copy()
-    for i in range(out.shape[0]):
-        j = int(np.argmax(np.abs(out[i])))
-        if out[i, j] < 0:
-            out[i] = -out[i]
-    return out
+    """Each row (of each matrix of a stack) negated when its first
+    largest-magnitude entry is negative, as a new C-contiguous array: the
+    projection's matmul reads it transposed, and BLAS rounds a product by
+    its operands' layout."""
+    top = np.abs(components).argmax(axis=-1)
+    negative = np.take_along_axis(components, top[..., None], axis=-1) < 0
+    return np.ascontiguousarray(np.where(negative, -components, components))
 
 
 def _complete_basis(components: np.ndarray, p: int, want: int) -> np.ndarray:
@@ -125,6 +131,58 @@ def pca_spectrum(X: np.ndarray) -> Spectrum:
         eigval, eigvec = np.linalg.eigh(centered @ centered.T / n)
     order = np.argsort(eigval)[::-1]
     return Spectrum(mean, centered, np.clip(eigval[order], 0.0, None), eigvec[:, order])
+
+
+@dataclass(frozen=True)
+class SpectrumStack:
+    """``pca_spectrum`` of C matrices of one shape (n, p), stacked: the
+    fields of ``Spectrum`` that project, each with a leading axis of C."""
+
+    centered: np.ndarray
+    eigval: np.ndarray
+    eigvec: np.ndarray
+
+    def projected(self, n_components: int) -> np.ndarray:
+        """(C, n, d): ``pca_transform`` of each matrix by its
+        ``Spectrum.projection(n_components)``, bit for bit.  The Gram
+        branch's matmul runs once per number of kept eigenvectors, at that
+        width, and a rank-deficient matrix's basis is completed alone."""
+        C, n, p = self.centered.shape
+        d = max(0, min(n_components, p))
+        if p <= n:
+            components = self.eigvec[:, :, :d].transpose(0, 2, 1)
+        else:
+            components = np.empty((C, d, p))
+            keep = np.minimum(d, np.count_nonzero(self.eigval > _RANK_TOL, axis=1))
+            for width in np.unique(keep).tolist():
+                cells = np.flatnonzero(keep == width)
+                scale = np.sqrt(n * self.eigval[cells, :width])
+                part = (self.centered[cells].transpose(0, 2, 1) @ self.eigvec[cells, :, :width]
+                        / scale[:, None, :]).transpose(0, 2, 1)
+                if width < d:
+                    part = [_complete_basis(rows, p, d) for rows in part]
+                components[cells] = part
+        # (X - mean) in pca_transform is ``centered``, bit for bit
+        return self.centered @ _fix_signs(components).transpose(0, 2, 1)
+
+
+def pca_spectra(X: np.ndarray) -> SpectrumStack:
+    """``pca_spectrum`` of every matrix of X (C, n, p), bit for bit: numpy
+    centres, multiplies, decomposes and sorts each matrix of a C-contiguous
+    stack as it does the C-contiguous matrix alone (one column's mean is a
+    pairwise sum either way)."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    C, n, p = X.shape
+    mean = X.mean(axis=1)
+    centered = X - mean[:, None, :]
+    if p <= n:
+        eigval, eigvec = np.linalg.eigh(centered.transpose(0, 2, 1) @ centered / n)
+    else:
+        eigval, eigvec = np.linalg.eigh(centered @ centered.transpose(0, 2, 1) / n)
+    order = np.argsort(eigval, axis=1)[:, ::-1]
+    return SpectrumStack(centered,
+                         np.clip(np.take_along_axis(eigval, order, axis=1), 0.0, None),
+                         np.take_along_axis(eigvec, order[:, None, :], axis=2))
 
 
 def pca_fit(X: np.ndarray, n_components: int) -> Projection:
@@ -260,6 +318,26 @@ class SortedRows:
                           _representatives(d2, assign, sizes, order))
 
 
+@dataclass(frozen=True)
+class SortedStack:
+    """``sorted_rows`` of C matrices of one shape (n, d), stacked: (C, n, d)
+    sorted rows, (C, n) orders and (C,) distinct-row counts."""
+
+    rows: np.ndarray
+    order: np.ndarray
+    distinct: np.ndarray
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def __getitem__(self, cells) -> "SortedStack":
+        """The stack of the matrices ``cells`` (an index array)."""
+        return SortedStack(self.rows[cells], self.order[cells], self.distinct[cells])
+
+    def cell(self, c: int) -> SortedRows:
+        return SortedRows(self.rows[c], self.order[c], int(self.distinct[c]))
+
+
 def _stacked_distances(Xs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     """(cells, n, k) squared distances from each cell's rows (cells, n, d)
     to its centroids (cells, k, d), bit for bit ``_squared_distances`` of
@@ -270,6 +348,20 @@ def _stacked_distances(Xs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
         diff = Xs - centroids[:, j:j + 1]
         d2[:, :, j] = np.einsum("cik,cik->ci", diff, diff)
     return d2
+
+
+def _stacked_representatives(own: np.ndarray, assign: np.ndarray, order: np.ndarray,
+                             k: int) -> np.ndarray:
+    """(cells, k): ``_representatives`` of each cell, from its rows' (cells,
+    n) distances to their own centroids, cluster ids and input row ids:
+    per cluster, the input row of the nearest member, the lowest one on
+    ties.  On a stack, k minimum passes cost less than one ``lexsort``."""
+    reps = np.empty(own.shape[:1] + (k,), dtype=order.dtype)
+    for j in range(k):
+        member = assign == j
+        nearest = np.where(member, own, np.inf).min(axis=1, keepdims=True)
+        reps[:, j] = np.where(member & (own == nearest), order, order.shape[1]).min(axis=1)
+    return reps
 
 
 def _own(d2: np.ndarray) -> np.ndarray:
@@ -297,28 +389,27 @@ class ClusteringBatch:
                           self.representatives[c].copy())
 
 
-def kmeans_batch(cells: Sequence[SortedRows], n_clusters: int,
+def kmeans_batch(cells: SortedStack, n_clusters: int,
                  rngs: Sequence[np.random.Generator], max_iter: int = 100,
                  inertia_traces: Sequence[list] | None = None) -> ClusteringBatch:
-    """``cells[c].kmeans(n_clusters, rngs[c], max_iter, inertia_traces[c])``
-    of every cell at once, bit for bit, for cells of one shape (n, d) with
-    at least ``n_clusters`` >= 2 distinct rows each (so no clamp and no
-    closed form applies).
+    """``cells.cell(c).kmeans(n_clusters, rngs[c], max_iter,
+    inertia_traces[c])`` of every cell of a sorted stack at once, bit for
+    bit, for cells with at least ``n_clusters`` >= 2 distinct rows each (so
+    no clamp and no closed form applies).
 
     Each cell draws its K-Means++ seeds from its own generator in the
     per-cell order; every seeding distance, Lloyd assignment and centroid
     sum then runs over the (cells, n, d) stack, where numpy reduces each
     cell's rows exactly as it reduces them alone.  A cell whose pass leaves
     a cluster empty is repaired on its own; a cell whose assignment reaches
-    its fixpoint is finished and dropped from the stack, and one
-    ``lexsort`` ranks every cell's members for the representatives.  One
-    column is summed pairwise, as numpy sums it (``segment_sums``).
+    its fixpoint is finished and dropped from the stack, and the
+    representatives of all cells are picked together.  One column is
+    summed pairwise, as numpy sums it (``segment_sums``).
     """
     k = n_clusters
-    Xs = np.stack([cell.rows for cell in cells])
-    order = np.stack([cell.order for cell in cells])
+    Xs, order = cells.rows, cells.order
     C, n, d = Xs.shape
-    if k < 2 or any(cell.distinct < k for cell in cells):
+    if k < 2 or (cells.distinct < k).any():
         raise ValueError("need at least n_clusters >= 2 distinct rows per cell")
     if len(rngs) != C or (inertia_traces is not None and len(inertia_traces) != C):
         raise ValueError("need one generator (and inertia trace) per cell")
@@ -402,13 +493,22 @@ def kmeans_batch(cells: Sequence[SortedRows], n_clusters: int,
 
     assignments = np.empty((C, n), dtype=np.int64)
     assignments[ids[:, None], order] = done_assign
-    # per cell, rows by (cluster, own distance, input row), as
-    # ``_representatives`` ranks them
-    ranked = np.lexsort((order.ravel(), done_own.ravel(), done_assign.ravel(),
-                         np.repeat(ids, n)))
-    heads = ids[:, None] * n + np.cumsum(done_sizes, axis=1) - done_sizes
     return ClusteringBatch(done_centroids, assignments, done_sizes,
-                           order.ravel()[ranked[heads]])
+                           _stacked_representatives(done_own, done_assign, order, k))
+
+
+def kmeans_one(cells: SortedStack) -> ClusteringBatch:
+    """``cells.cell(c).kmeans(1, ...)`` of every cell at once, bit for bit
+    (the clustering of any K of a cell with one distinct row): the closed
+    form, one centroid at the mean of the sorted rows, and each cell's row
+    nearest it (lowest input row on ties)."""
+    Xs, order = cells.rows, cells.order
+    C, n, _ = Xs.shape
+    centroids = Xs.mean(axis=1)[:, None, :]
+    assign = np.zeros((C, n), dtype=np.int64)
+    own = _stacked_distances(Xs, centroids)[:, :, 0]
+    return ClusteringBatch(centroids, assign, np.full((C, 1), n, dtype=np.int64),
+                           _stacked_representatives(own, assign, order, 1))
 
 
 def sorted_rows(X: np.ndarray) -> SortedRows:
@@ -421,6 +521,16 @@ def sorted_rows(X: np.ndarray) -> SortedRows:
     # equal rows are neighbours in lexicographic order
     distinct = 1 + int(np.count_nonzero(np.any(Xs[1:] != Xs[:-1], axis=1)))
     return SortedRows(Xs, order, distinct)
+
+
+def sorted_stack(X: np.ndarray) -> SortedStack:
+    """``sorted_rows`` of every matrix of X (C, n, d), bit for bit: one
+    ``lexsort`` along the rows of every matrix at once ranks each matrix's
+    rows as its own ``lexsort`` does."""
+    order = np.lexsort(X.transpose(2, 0, 1)[::-1], axis=-1)
+    rows = np.take_along_axis(X, order[:, :, None], axis=1)
+    distinct = 1 + np.count_nonzero(np.any(rows[:, 1:] != rows[:, :-1], axis=2), axis=1)
+    return SortedStack(rows, order, distinct)
 
 
 def kmeans_pp(

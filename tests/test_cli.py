@@ -64,6 +64,34 @@ def test_train_writes_forest_and_log(binary_files, tmp_path):
     assert len(log.strip().splitlines()) == 3 + 10  # header lines + per-tree rows
 
 
+def test_verbose_logs_preprocess_summary_to_stderr(tmp_path, capsys):
+    # a blank covariate cell is imputed: -v shows preprocess's INFO summary
+    # on stderr, and stdout and every written file stay byte-identical
+    ds = make_binary(60, 4, seed=2)
+    data, schema = tmp_path / "data.csv", tmp_path / "schema.txt"
+    write_csv(ds, data)
+    write_schema(ds, schema)
+    lines = data.read_text().splitlines()
+    cells = lines[5].split(",")
+    cells[0] = ""
+    lines[5] = ",".join(cells)
+    data.write_text("\n".join(lines) + "\n")
+    outputs = {}
+    for verbose in ([], ["-v"]):
+        out = tmp_path / f"model{len(verbose)}"
+        code = run(verbose + ["train", "--data", data, "--schema", schema, "--trees", 4,
+                              "--out", out])
+        captured = capsys.readouterr()
+        assert code == 0
+        outputs[bool(verbose)] = (captured.out.replace(str(out), "OUT"),
+                                  {p.name: p.read_bytes() for p in sorted(out.iterdir())},
+                                  captured.err)
+    assert outputs[True][:2] == outputs[False][:2]
+    assert "preprocess: kept 60/60 rows" in outputs[True][2]
+    assert "imputed 1 cells" in outputs[True][2]
+    assert outputs[False][2] == ""
+
+
 def test_train_survival_min_split_default(survival_files, tmp_path):
     _, data, schema = survival_files
     out = tmp_path / "model"

@@ -389,9 +389,19 @@ def test_explain_batch_equals_per_instance_tuning(task, monkeypatch):
 
     monkeypatch.setattr(explain_mod, "kmeans_batch", counted)
     monkeypatch.setattr(explain_mod, "_LOCKSTEP_INSTANCES", 12)
+    # the batched projection path: stacks of at least _BATCH_INSTANCES
+    # matrices, by PCA and by the identity
+    blocks, spectra = [], []
+    sorted_stack, pca_spectra = explain_mod.sorted_stack, explain_mod.pca_spectra
+    monkeypatch.setattr(explain_mod, "sorted_stack",
+                        lambda projected: blocks.append(len(projected)) or sorted_stack(projected))
+    monkeypatch.setattr(explain_mod, "pca_spectra",
+                        lambda vectors: spectra.append(len(vectors)) or pca_spectra(vectors))
     rows, modes, flags, seeds = zip(*requests)
     explained = explain_batch(forest, ds.covariates[list(rows)], grid, modes, flags, seeds)
     assert batches and min(batches) >= explain_mod._BATCH_CELLS
+    assert spectra and len(blocks) > len(spectra)
+    assert min(blocks + spectra) >= explain_mod._BATCH_INSTANCES
     for (row, mode, arm, seed), got in zip(requests, explained):
         assert_same_explanation(
             got, tune_and_explain(forest, ds.covariates[row], grid, mode, arm, seed))
@@ -432,6 +442,25 @@ def test_too_short_instance_rejected():
     for call in bad_instance_calls(-np.ones(2)):
         with pytest.raises(ValueError, match="shape"):
             call()
+
+
+def test_explain_batch_validates_instances_as_one_array():
+    # a 1-D X is one malformed batch, not p instances of shape (); a
+    # non-finite value names its 0-based instance row
+    forest = four_tree_forest()  # p = 3
+    grid = TuningGrid(taus=(2, 4), ks=(1, 2))
+    with pytest.raises(ValueError, match=r"shape \(m, 3\), got \(3,\)"):
+        explain_batch(forest, -np.ones(3), grid)
+    with pytest.raises(ValueError, match=r"shape \(m, 3\), got \(2, 4\)"):
+        explain_batch(forest, -np.ones((2, 4)), grid)
+    X = -np.ones((4, 3))
+    X[2, 1] = np.inf
+    with pytest.raises(ValueError, match="instance 2 has a non-finite value"):
+        explain_batch(forest, X, grid)
+    X[2, 1], X[3, 0] = -1.0, np.nan
+    with pytest.raises(ValueError, match="instance 3 has a non-finite value"):
+        explain_batch(forest, X, grid)
+    assert explain_batch(forest, [], grid) == []
 
 
 def test_grid_validation():

@@ -3,18 +3,23 @@ import pytest
 
 import bellatrex.numeric as numeric_mod
 from bellatrex.numeric import (
+    _RANK_TOL,
     _complete_basis,
     _squared_distances,
     _fix_signs,
     identity_projection,
     kmeans_batch,
+    kmeans_one,
     kmeans_pp,
     nearest_point,
     pca_fit,
+    pca_spectra,
     pca_spectrum,
     pca_transform,
     segment_sums,
+    SortedStack,
     sorted_rows,
+    sorted_stack,
 )
 
 
@@ -178,6 +183,16 @@ def test_shared_spectrum_projections_equal_single_fits(rng):
         for d in (5, 2, 1, 3, X.shape[1] + 2):
             assert_same_projection(spectrum.projection(d), X, d)
             assert_same_projection(pca_fit(X, d), X, d)
+
+
+def test_projection_components_are_c_contiguous(rng):
+    # pca_transform multiplies by components.T, and BLAS rounds a product by
+    # its operands' layout: a transposed (F-ordered) components array moved
+    # the bytes of one in five explain-binary explanations
+    for X in list(rank_deficient_inputs(rng)) + [rng.random((20, 24)), rng.random((80, 24))]:
+        spectrum = pca_spectrum(X)
+        for d in (1, 2, 5, X.shape[1] + 2):
+            assert spectrum.projection(d).components.flags["C_CONTIGUOUS"]
 
 
 def test_shared_spectrum_random_cases(rng):
@@ -464,9 +479,17 @@ def random_group(rng, size, n, d, k):
     return cells
 
 
+def stack_of(cells):
+    """The sorted stack of same-shape ``SortedRows``."""
+    return SortedStack(np.stack([cell.rows for cell in cells]),
+                       np.stack([cell.order for cell in cells]),
+                       np.array([cell.distinct for cell in cells]))
+
+
 def assert_batch_equals_per_cell(cells, k, seeds, max_iter):
     traces = [[] for _ in cells]
-    batch = kmeans_batch(cells, k, [np.random.default_rng(s) for s in seeds], max_iter, traces)
+    batch = kmeans_batch(stack_of(cells), k, [np.random.default_rng(s) for s in seeds], max_iter,
+                         traces)
     for c, (rows, seed) in enumerate(zip(cells, seeds)):
         trace: list[float] = []
         expected = rows.kmeans(k, seed, max_iter, trace)
@@ -506,7 +529,7 @@ def test_kmeans_batch_empty_cluster_repair(rng, monkeypatch):
         return distances(Xs, centroids)
 
     monkeypatch.setattr(numeric_mod, "_squared_distances", counted)
-    kmeans_batch(cells, 4, [np.random.default_rng(s) for s in seeds])
+    kmeans_batch(stack_of(cells), 4, [np.random.default_rng(s) for s in seeds])
     assert repairs  # the batch repaired a cell on its own
     monkeypatch.undo()
     assert_batch_equals_per_cell(cells, 4, seeds, 100)
@@ -515,11 +538,96 @@ def test_kmeans_batch_empty_cluster_repair(rng, monkeypatch):
 def test_kmeans_batch_rejects_cells_it_cannot_cluster():
     rows = sorted_rows(np.array([[0.0, 1.0], [0.0, 1.0], [2.0, 3.0]]))
     with pytest.raises(ValueError, match="distinct"):
-        kmeans_batch([rows], 3, [np.random.default_rng(0)])
+        kmeans_batch(stack_of([rows]), 3, [np.random.default_rng(0)])
     with pytest.raises(ValueError, match="distinct"):
-        kmeans_batch([rows], 1, [np.random.default_rng(0)])
+        kmeans_batch(stack_of([rows]), 1, [np.random.default_rng(0)])
     with pytest.raises(ValueError, match="generator"):
-        kmeans_batch([rows, rows], 2, [np.random.default_rng(0)])
+        kmeans_batch(stack_of([rows, rows]), 2, [np.random.default_rng(0)])
+
+
+# ---------------------------------------------------------------------------
+# Step kernels over stacks of matrices
+# ---------------------------------------------------------------------------
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def rule_stacks(rng):
+    """(C, n, p) stacks shaped like rule vectors: split counts, sparse
+    rounded fractions, duplicate rows and all-equal rows; p <= n takes the
+    covariance branch and p > n the Gram branch."""
+    for size in (1, 2, 7, 50):
+        for n, p in ((12, 4), (9, 9), (3, 7), (5, 12), (1, 4), (6, 1), (20, 1)):
+            counts = rng.integers(0, 3, size=(size, n, p)).astype(float)
+            fractions = np.round(rng.random((size, n, p)) * (rng.random((size, 1, p)) < 0.6), 3)
+            yield counts
+            yield fractions
+            # duplicate rows (a fancy-indexed stack need not be C-contiguous)
+            yield np.ascontiguousarray(fractions[:, rng.integers(0, max(1, n // 3), size=n)])
+            yield np.repeat(rng.random((size, 1, p)), n, axis=1)  # one distinct row
+
+
+def test_step_kernels_equal_per_matrix_kernels(rng):
+    # pca_spectra + projected, sorted_stack and kmeans_one of a stack are
+    # bit for bit pca_spectrum(X).projection(d) + pca_transform, sorted_rows
+    # and SortedRows.kmeans(1) of each matrix (and K > 1 clamped to one
+    # distinct row); the identity projection broadcast over the stack is
+    # pca_transform of each matrix
+    seen = set()
+    for X in rule_stacks(rng):
+        C, n, p = X.shape
+        spectra = pca_spectra(X)
+        identity = identity_projection(p)
+        for d in (1, 2, 5, p + 2, None):
+            if d is None:
+                projected = (X - identity.mean) @ identity.components.T
+            else:
+                projected = spectra.projected(d)
+            stack = sorted_stack(projected)
+            one = kmeans_one(stack)
+            for c in range(C):
+                if d is None:
+                    want = pca_transform(identity, X[c])
+                else:
+                    spectrum = pca_spectrum(X[c])
+                    want = pca_transform(spectrum.projection(d), X[c])
+                    rank = int(np.count_nonzero(spectrum.eigval > _RANK_TOL))
+                    seen.add("gram" if p > n else "covariance")
+                    seen.update({"rank-deficient gram"} if p > n and rank < min(d, p) else ())
+                    seen.update({"d clamped"} if d > p else {"d = 1"} if d == 1 else ())
+                assert same_bits(projected[c], want)
+                alone = sorted_rows(want)
+                assert same_bits(stack.rows[c], alone.rows)
+                assert same_bits(stack.order[c], alone.order)
+                assert stack.distinct[c] == alone.distinct
+                cell = stack.cell(c)
+                assert same_bits(cell.rows, alone.rows) and cell.distinct == alone.distinct
+                for k in (1, 3) if alone.distinct == 1 else (1,):
+                    ref = alone.kmeans(k, np.random.default_rng(0))
+                    assert ref.n_clusters == 1
+                    for name in ("centroids", "assignments", "sizes", "representatives"):
+                        assert same_bits(getattr(one, name)[c], getattr(ref, name)), name
+                seen.update({"one distinct"} if alone.distinct == 1 else ())
+                seen.update({"duplicate rows"} if 1 < alone.distinct < n else ())
+            seen.add(f"{C} matrices")
+    assert seen >= {"covariance", "gram", "rank-deficient gram", "d clamped", "d = 1",
+                    "one distinct", "duplicate rows", "1 matrices", "50 matrices"}
+
+
+def test_kmeans_batch_of_a_stack_slice_equals_per_cell_kmeans(rng):
+    # kmeans_batch takes a slice of a sorted stack without restacking
+    X = np.round(rng.normal(size=(9, 15, 3)), 1)
+    stack = sorted_stack(X)
+    chosen = [0, 2, 3, 5, 8]
+    seeds = [11, 12, 13, 14, 15]
+    batch = kmeans_batch(stack[chosen], 3, [np.random.default_rng(s) for s in seeds])
+    for b, (c, seed) in enumerate(zip(chosen, seeds)):
+        ref = sorted_rows(X[c]).kmeans(3, seed)
+        assert same_bits(batch.centroids[b], ref.centroids)
+        assert same_bits(batch.assignments[b], ref.assignments)
+        assert same_bits(batch.representatives[b], ref.representatives)
 
 
 # ---------------------------------------------------------------------------

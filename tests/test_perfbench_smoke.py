@@ -91,5 +91,52 @@ def test_bench_pairs_needs_two_pairs(tmp_path, pairs):
     assert done.stdout == "" and not out.exists()
 
 
+STUB_RUN = """import json, sys
+if {exit_code}:
+    sys.exit({exit_code})
+print("# env stub")
+print("digest desk-regression {digest}")
+print(json.dumps({{"correct": True, "failed": 0, "metrics": {{
+    name: {{"value": 1.0}} for name in ("op_ms_p50", "setup_s", "peak_rss_mb")}}}}))
+"""
+
+
+def stub_checkout(root: Path, digest: str = "00", exit_code: int = 0) -> Path:
+    (root / "perfbench").mkdir(parents=True)
+    (root / "perfbench" / "run.py").write_text(STUB_RUN.format(digest=digest, exit_code=exit_code))
+    return root
+
+
+def bench_pairs(parent: Path, change: Path, out: Path) -> subprocess.CompletedProcess:
+    return subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), "--parent", str(parent),
+         "--change", str(change), "--workload", "desk-regression", "--pairs", "2",
+         "--out", str(out)], capture_output=True, text=True, timeout=60)
+
+
+@pytest.mark.parametrize("failing", ["parent", "change"])
+def test_bench_pairs_failed_run_exits_one(tmp_path, failing):
+    # a run that exits non-zero ended the tool in a CalledProcessError
+    # traceback
+    sides = {side: stub_checkout(tmp_path / side, exit_code=3 if side == failing else 0)
+             for side in ("parent", "change")}
+    out = tmp_path / "bench.json"
+    done = bench_pairs(sides["parent"], sides["change"], out)
+    assert done.returncode == 1
+    assert f"the {failing} run of desk-regression" in done.stderr
+    assert "exited with code 3" in done.stderr and "Traceback" not in done.stderr
+    assert not out.exists()
+
+
+def test_bench_pairs_records_whether_digests_match(tmp_path):
+    out = tmp_path / "bench.json"
+    same = bench_pairs(stub_checkout(tmp_path / "a"), stub_checkout(tmp_path / "b"), out)
+    moved = bench_pairs(stub_checkout(tmp_path / "c"), stub_checkout(tmp_path / "d", "ff"), out)
+    assert same.returncode == moved.returncode == 0
+    entries = json.loads(out.read_text())["runs"]
+    assert [entry["digests_match"] for entry in entries] == [True, False]
+    assert entries[1]["change_digests"] == ["digest desk-regression ff"]
+
+
 def _refuse_constant(name):
     raise ValueError(f"the result line holds the non-JSON constant {name}")

@@ -8,8 +8,10 @@ Each pair runs the workload once in each checkout, one process at a time;
 even pairs run the parent first, odd pairs the change.  For every gated
 end-to-end metric the file records both sides' runs, medians and
 quartiles, and the pairs in which the change is better; it also records
-each run's digest line and environment line.  An existing ``--out`` file
-gains the workload as one more entry of ``runs``.
+each run's digest line and environment line, and whether both sides'
+digests match.  An existing ``--out`` file gains the workload as one more
+entry of ``runs``.  A run that exits non-zero or ends without a result line
+stops the tool with exit code 1, naming the side and the workload.
 """
 from __future__ import annotations
 
@@ -23,19 +25,28 @@ from pathlib import Path
 METRICS = ("op_ms_p50", "setup_s", "peak_rss_mb")  # all "lower is better"
 
 
+class RunFailed(Exception):
+    """A benchmark run that gave no result."""
+
+
 def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds),
-         "--seed", str(seed)], cwd=checkout, stdout=subprocess.PIPE, text=True, check=True)
+         "--seed", str(seed)], cwd=checkout, stdout=subprocess.PIPE, text=True)
+    if proc.returncode != 0:
+        raise RunFailed(f"perfbench/run.py exited with code {proc.returncode}")
     lines = proc.stdout.strip().splitlines()
-    result = json.loads(lines[-1])
-    return {
-        "correct": result["correct"],
-        "failed": result["failed"],
-        "metrics": {name: result["metrics"][name]["value"] for name in METRICS},
-        "digest": next(line for line in lines if line.startswith("digest ")),
-        "env": next(line for line in lines if line.startswith("# env ")),
-    }
+    try:
+        result = json.loads(lines[-1])
+        return {
+            "correct": result["correct"],
+            "failed": result["failed"],
+            "metrics": {name: result["metrics"][name]["value"] for name in METRICS},
+            "digest": next(line for line in lines if line.startswith("digest ")),
+            "env": next(line for line in lines if line.startswith("# env ")),
+        }
+    except (IndexError, ValueError, KeyError, TypeError, StopIteration) as exc:
+        raise RunFailed(f"perfbench/run.py printed no full result ({exc!r})") from None
 
 
 def summary(values: list[float]) -> dict:
@@ -65,7 +76,13 @@ def main(argv=None) -> int:
     runs = {"parent": [], "change": []}
     for pair in range(args.pairs):
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
-            runs[side].append(run_once(getattr(args, side), args.workload, args.seconds, args.seed))
+            try:
+                runs[side].append(run_once(getattr(args, side), args.workload, args.seconds,
+                                           args.seed))
+            except RunFailed as exc:
+                print(f"bench_pairs: the {side} run of {args.workload} (pair {pair}) failed: {exc}",
+                      file=sys.stderr)
+                return 1
             print(f"pair {pair} {side}: {runs[side][-1]['metrics']}", flush=True)
 
     entry = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
@@ -82,6 +99,7 @@ def main(argv=None) -> int:
     for side, side_runs in runs.items():
         entry[f"{side}_digests"] = sorted({r["digest"] for r in side_runs})
         entry[f"{side}_env"] = side_runs[0]["env"]
+    entry["digests_match"] = entry["parent_digests"] == entry["change_digests"]
     doc = json.loads(args.out.read_text()) if args.out.exists() else {"runs": []}
     doc["runs"].append(entry)
     args.out.write_text(json.dumps(doc, indent=1) + "\n")
