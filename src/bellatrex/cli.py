@@ -173,6 +173,8 @@ def _select_instances(args, ds: Dataset) -> list[int]:
 
 def cmd_explain(args) -> None:
     out = _out_dir(args)
+    if args.seed < 0:
+        raise ValueError("--seed must be non-negative")
     ds = _load_dataset(args)
     forest = load_forest(args.forest)
     if forest.task is not ds.task:

@@ -107,6 +107,8 @@ class ForestParams:
     bootstrap: bool = True
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.max_depth is not None and self.max_depth < 0:
             raise ValueError("max_depth must be non-negative")
 

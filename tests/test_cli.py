@@ -111,6 +111,27 @@ def test_train_negative_max_depth_is_usage_error(binary_files, tmp_path, capsys)
     assert not (out / "forest.json").exists()
 
 
+@pytest.mark.parametrize("command", ["train", "explain", "benchmark", "ablate"])
+def test_negative_seed_is_usage_error(binary_files, tmp_path, capsys, command):
+    # numpy's bare "expected non-negative integer" used to be all it said
+    _, data, schema = binary_files
+    model = tmp_path / "model"
+    assert run(["train", "--data", data, "--schema", schema, "--trees", 5, "--out", model]) == 0
+    capsys.readouterr()
+    extra = {"train": ["--trees", 3],
+             "explain": ["--forest", model / "forest.json", "--instances", "0",
+                         "--grid-tau", "4"],
+             "benchmark": ["--trees", 5, "--folds", 2, "--grid-tau", "4"],
+             "ablate": ["--trees", 5, "--folds", 2, "--grid-tau", "4"]}[command]
+    out = tmp_path / "out"
+    code = run([command, "--data", data, "--schema", schema, *extra, "--seed", -1,
+                "--out", out])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("usage error: ") and "seed" in err
+    assert not out.exists()
+
+
 def test_invalid_task_is_usage_error(binary_files, tmp_path):
     _, data, _ = binary_files
     with pytest.raises(SystemExit) as err:

@@ -1118,6 +1118,11 @@ def test_min_split_default_by_task():
     assert ForestParams().resolve_min_split(TaskKind.SURVIVAL) == 10
 
 
+def test_negative_seed_rejected():
+    with pytest.raises(ValueError, match="seed"):
+        ForestParams(seed=-1)
+
+
 def test_negative_max_depth_rejected():
     with pytest.raises(ValueError, match="max_depth"):
         ForestParams(max_depth=-3)
