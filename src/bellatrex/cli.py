@@ -1,6 +1,7 @@
 """Command-line surface: train, explain, benchmark, ablate.
 
 Exit codes: 0 success, 2 usage error, 3 data error, 4 internal failure.
+An output file that cannot be written is a usage error that names it.
 Every command runs on one thread; BELLATREX_THREADS is no longer read.
 ``-v`` sends the package's INFO log lines (such as the preprocessing
 summary of dropped rows and imputed cells) to stderr.
@@ -11,6 +12,7 @@ import argparse
 import json
 import logging
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -133,14 +135,22 @@ def _out_dir(args) -> Path:
     return out
 
 
+@contextmanager
+def _writing(out: Path):
+    """Create ``out`` for the outputs written inside the block; an OSError
+    while creating or writing becomes a usage error naming the path."""
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as exc:
+        raise ValueError(f"cannot write {exc.filename or out}: {exc.strerror or exc}") from exc
+
+
 def cmd_train(args) -> None:
     out = _out_dir(args)
     ds = _load_dataset(args)
     params = _forest_params(args)
     forest = fit_forest(ds, params)
-    out.mkdir(parents=True, exist_ok=True)
-    save_forest(forest, out / "forest.json")
-
     errs = oob_errors(forest, ds)
     lines = [
         f"task={forest.task.value} n={ds.n} p={ds.p} trees={forest.n_trees}",
@@ -151,7 +161,9 @@ def cmd_train(args) -> None:
     for i, tree in enumerate(forest.trees):
         max_d, mean_d = tree.depth_stats()
         lines.append(f"{i}\t{errs[i]:.6f}\t{max_d}\t{mean_d:.2f}\t{tree.n_nodes}")
-    (out / "train_log.txt").write_text("\n".join(lines) + "\n")
+    with _writing(out):
+        save_forest(forest, out / "forest.json")
+        (out / "train_log.txt").write_text("\n".join(lines) + "\n")
     print(f"wrote {out / 'forest.json'} and {out / 'train_log.txt'}")
 
 
@@ -191,17 +203,17 @@ def cmd_explain(args) -> None:
     rows = _select_instances(args, ds)
     explanations = explain_batch(forest, ds.covariates[rows], grid, args.mode, flags,
                                  [derive_seed(args.seed, 909, row) for row in rows])
-    out.mkdir(parents=True, exist_ok=True)
-    for row, explanation in zip(rows, explanations):
-        stem = out / f"instance_{row}"
-        stem.with_suffix(".txt").write_text(
-            render_text(explanation, ds.covariate_names, forest))
-        stem.with_suffix(".json").write_text(
-            render_json_text(explanation, ds.covariate_names, forest))
-        stem.with_suffix(".tsv").write_text(plot_tsv(explanation))
-        print(f"instance {row}: fidelity={explanation.fidelity:.4f} "
-              f"tau={explanation.chosen_tau} d={explanation.chosen_d} "
-              f"K={explanation.chosen_k}")
+    with _writing(out):
+        for row, explanation in zip(rows, explanations):
+            stem = out / f"instance_{row}"
+            stem.with_suffix(".txt").write_text(
+                render_text(explanation, ds.covariate_names, forest))
+            stem.with_suffix(".json").write_text(
+                render_json_text(explanation, ds.covariate_names, forest))
+            stem.with_suffix(".tsv").write_text(plot_tsv(explanation))
+            print(f"instance {row}: fidelity={explanation.fidelity:.4f} "
+                  f"tau={explanation.chosen_tau} d={explanation.chosen_d} "
+                  f"K={explanation.chosen_k}")
 
 
 def _benchmark_config(args) -> BenchmarkConfig:
@@ -221,9 +233,9 @@ def _cross_validate(args, run, stem: str, tsv, doc) -> None:
     out = _out_dir(args)
     ds = _load_dataset(args, scale=False)
     result = run(ds, args.name or Path(args.data).stem, _benchmark_config(args))
-    out.mkdir(parents=True, exist_ok=True)
-    (out / f"{stem}.tsv").write_text(tsv(result))
-    (out / f"{stem}.json").write_text(json.dumps(doc(result), indent=2) + "\n")
+    with _writing(out):
+        (out / f"{stem}.tsv").write_text(tsv(result))
+        (out / f"{stem}.json").write_text(json.dumps(doc(result), indent=2) + "\n")
     print(f"wrote {out / stem}.tsv and {out / stem}.json")
 
 

@@ -60,7 +60,9 @@ table of all cuts is small (``_EXACT_CELLS``) it scores every cut.  A
 larger node is screened first: with the node's hazard H, a left child's
 O - E is the prefix sum of delta_i - H(t_i), and its variance is sum
 W(t_i) - sum_{i,j} A(min(t_i, t_j)) over the child's rows (see
-``_logrank_screen``).  Those sums round
+``_logrank_screen``; it sums blocks of about sqrt(G) rows in windows of at
+most ``_EXACT_CELLS`` histogram cells, so beside the node's (m, n) arrays
+it holds one window's).  Those sums round
 differently from the per-cut formula, so every cut whose score could reach
 the node's best is ranked again by the exact formula, except the cuts that
 an integer test proves to have zero variance (``_zero_variance_cuts``),
@@ -76,6 +78,13 @@ Predictions and errors are then gathers from those node ids.  ``node_path``
 is the tree-by-tree reference walk that the kernel must agree with;
 ``tree_predict``, ``forest_predict``, ``all_tree_predictions`` and
 ``decision_path`` are built on it and serve as per-row oracles.
+
+``forest.json`` is ``json.dumps(forest_to_dict(forest))``.  ``save_forest``
+writes those bytes one tree at a time and ``load_forest`` turns each tree
+into arrays as soon as the parser has read it, so at most one tree's
+Python lists are alive.  A loaded forest is validated (``_check_forest``:
+tree counts and shapes, finite values, the event grid and the leaf curves),
+and every fault in the file, the parser's included, is a ForestFileError.
 """
 from __future__ import annotations
 
@@ -538,11 +547,14 @@ def _logrank_screen(ranks: np.ndarray, events: np.ndarray, table: EventTable,
 
     The pair sum is built in blocks of about sqrt(G) rows (G event times):
     pairs inside a block directly, pairs with earlier blocks through the
-    cumulative rank counts at the block start.  Every sum above is a
-    recursive sum of at most n + G + s terms with nonnegative magnitudes
-    bounded by the node totals, so the absolute error of O - E and of the
-    variance is below ``tol`` times those totals; each cut gets the score
-    interval this implies.  A cut is kept when its upper bound reaches the
+    cumulative rank counts at the block start.  The blocks are walked in
+    windows of at most ``_EXACT_CELLS`` (m, block, G + 1) histogram cells,
+    or one block where that is more, so beside the (m, n) arrays the screen
+    holds one window's arrays, not O(m n sqrt(G)) cells; the windows change
+    no bit of the result.  Every sum above is a recursive sum of at most
+    n + G + s terms with nonnegative magnitudes bounded by the node totals,
+    so the absolute error of O - E and of the variance is below ``tol``
+    times those totals; each cut gets the score interval this implies.  A cut is kept when its upper bound reaches the
     best lower bound; a cut whose variance may be zero has no upper bound,
     scores 0 here and is always kept.
     """
@@ -563,17 +575,26 @@ def _logrank_screen(ranks: np.ndarray, events: np.ndarray, table: EventTable,
     blocked = np.zeros((m, n_blocks * s), dtype=np.int64)
     blocked[:, :n] = ranks  # padding has rank 0: A(0) = 0 pairs it with nothing
     blocked = blocked.reshape(m, n_blocks, s)
-    # rows of earlier blocks with rank >= g, for every block start
-    cell = np.arange(0, m * n_blocks * (G + 1), G + 1).reshape(m, n_blocks, 1) + blocked
-    hist = np.bincount(cell.ravel(), minlength=m * n_blocks * (G + 1)).reshape(m, n_blocks, G + 1)
-    earlier = np.cumsum(hist, axis=1) - hist
-    at_least = np.cumsum(earlier[:, :, ::-1], axis=2)[:, :, ::-1]
-    cross = np.cumsum(pair_weight * at_least, axis=2)
-    pairs_earlier = cross.reshape(-1)[cell]
-    # pairs (j, k) with j before k inside a block; index 0 is quad's zero
-    inside = np.minimum(blocked[:, :, :, None], blocked[:, :, None, :])
-    pairs_inside = quad[np.tril(inside, -1)].sum(axis=3)
-    increment = quad[blocked] + 2.0 * (pairs_earlier + pairs_inside)
+    increment = np.empty((m, n_blocks, s))
+    # all a window needs of the blocks before it is their rows per rank,
+    # integers that carry over exactly
+    before = np.zeros((m, 1, G + 1), dtype=np.int64)
+    width = max(1, _EXACT_CELLS // (m * (G + 1)))
+    for start in range(0, n_blocks, width):
+        window = blocked[:, start:start + width]
+        w = window.shape[1]
+        cell = np.arange(0, m * w * (G + 1), G + 1).reshape(m, w, 1) + window
+        hist = np.bincount(cell.ravel(), minlength=m * w * (G + 1)).reshape(m, w, G + 1)
+        # rows of earlier blocks with rank >= g, for every block start
+        earlier = before + np.cumsum(hist, axis=1) - hist
+        before = earlier[:, -1:] + hist[:, -1:]
+        at_least = np.cumsum(earlier[:, :, ::-1], axis=2)[:, :, ::-1]
+        cross = np.cumsum(pair_weight * at_least, axis=2)
+        pairs_earlier = cross.reshape(-1)[cell]
+        # pairs (j, k) with j before k inside a block; index 0 is quad's zero
+        inside = np.minimum(window[:, :, :, None], window[:, :, None, :])
+        pairs_inside = quad[np.tril(inside, -1)].sum(axis=3)
+        increment[:, start:start + w] = quad[window] + 2.0 * (pairs_earlier + pairs_inside)
     pair_sum = np.cumsum(increment.reshape(m, -1)[:, :n], axis=1)
     variance = (linear_sum - pair_sum)[:, :-1]
 
@@ -648,7 +669,8 @@ def _zero_variance_cuts(ranks: np.ndarray, table: EventTable) -> np.ndarray:
 # ``_logrank_best`` scores without screening first: below it the screen's
 # fixed cost, about 30 numpy calls, exceeds what it saves the exact formula.
 # Train-survival forests (n = 2000) fit equally fast with 4,096 or 16,384
-# cells and slower with 65,536.
+# cells and slower with 65,536.  It also caps one window of
+# ``_logrank_screen``'s histogram cells.
 _EXACT_CELLS = 16384
 
 
@@ -1240,24 +1262,26 @@ _FORMAT = "bellatrex-forest"
 _VERSION = 1
 
 
-def forest_to_dict(forest: Forest) -> dict:
-    trees = []
-    for tree in forest.trees:
-        trees.append({
-            "feature": tree.feature.tolist(),
-            "threshold": [None if math.isnan(v) else v for v in tree.threshold.tolist()],
-            "left": tree.left.tolist(),
-            "right": tree.right.tolist(),
-            "sample_fraction": tree.sample_fraction.tolist(),
-            "sample_count": tree.sample_count.tolist(),
-            "node_pred": tree.node_pred.tolist(),
-            "bootstrap": tree.bootstrap_indices.tolist(),
-            "oob": tree.oob_indices.tolist(),
-            "leaf_km": {
-                str(node): [km.times.tolist(), km.values.tolist()]
-                for node, km in tree.leaf_km.items()
-            },
-        })
+def _tree_to_dict(tree: Tree) -> dict:
+    return {
+        "feature": tree.feature.tolist(),
+        "threshold": [None if math.isnan(v) else v for v in tree.threshold.tolist()],
+        "left": tree.left.tolist(),
+        "right": tree.right.tolist(),
+        "sample_fraction": tree.sample_fraction.tolist(),
+        "sample_count": tree.sample_count.tolist(),
+        "node_pred": tree.node_pred.tolist(),
+        "bootstrap": tree.bootstrap_indices.tolist(),
+        "oob": tree.oob_indices.tolist(),
+        "leaf_km": {
+            str(node): [km.times.tolist(), km.values.tolist()]
+            for node, km in tree.leaf_km.items()
+        },
+    }
+
+
+def _header_to_dict(forest: Forest) -> dict:
+    """Everything of the forest's document but its trees, which come last."""
     return {
         "format": _FORMAT,
         "version": _VERSION,
@@ -1278,8 +1302,21 @@ def forest_to_dict(forest: Forest) -> dict:
             "mtry": forest.mtry,
         },
         "event_grid": forest.event_grid.tolist() if forest.event_grid is not None else None,
-        "trees": trees,
     }
+
+
+def forest_to_dict(forest: Forest) -> dict:
+    return {**_header_to_dict(forest), "trees": [_tree_to_dict(tree) for tree in forest.trees]}
+
+
+# Errors that a malformed document raises while it is decoded into arrays.
+_MALFORMED = (KeyError, TypeError, ValueError, AttributeError, IndexError, OverflowError)
+
+
+def _malformed(exc: Exception) -> ForestFileError:
+    if isinstance(exc, KeyError):
+        return ForestFileError(f"serialized forest lacks the key {exc}")
+    return ForestFileError(f"malformed serialized forest: {exc}")
 
 
 def forest_from_dict(data: dict) -> Forest:
@@ -1287,38 +1324,48 @@ def forest_from_dict(data: dict) -> Forest:
         raise ForestFileError("not a serialized forest")
     try:
         return _forest_from_dict(data)
-    except KeyError as exc:
-        raise ForestFileError(f"serialized forest lacks the key {exc}") from exc
-    except (TypeError, ValueError, AttributeError, IndexError) as exc:
-        raise ForestFileError(f"malformed serialized forest: {exc}") from exc
+    except _MALFORMED as exc:
+        raise _malformed(exc) from exc
+
+
+def _tree_from_dict(td: dict) -> Tree:
+    """One tree's JSON object as a Tree; the forest sets its task."""
+    return Tree(
+        task=None,
+        feature=np.array(td["feature"], dtype=np.int32),
+        threshold=np.array(
+            [math.nan if v is None else v for v in td["threshold"]], dtype=np.float64
+        ),
+        left=np.array(td["left"], dtype=np.int32),
+        right=np.array(td["right"], dtype=np.int32),
+        sample_fraction=np.array(td["sample_fraction"], dtype=np.float64),
+        sample_count=np.array(td["sample_count"], dtype=np.int64),
+        node_pred=np.array(td["node_pred"], dtype=np.float64),
+        bootstrap_indices=np.array(td["bootstrap"], dtype=np.int64),
+        oob_indices=np.array(td["oob"], dtype=np.int64),
+        leaf_km={
+            int(node): StepFunction(
+                times=np.array(tv[0], dtype=np.float64),
+                values=np.array(tv[1], dtype=np.float64),
+                baseline=1.0,
+            )
+            for node, tv in td["leaf_km"].items()
+        },
+    )
+
+
+def _decode_object(obj: dict):
+    """``json.loads`` hook: a tree's object (the format's only object with a
+    "feature" key) becomes a Tree as soon as it is parsed, so one tree's
+    lists at a time are alive."""
+    return _tree_from_dict(obj) if "feature" in obj else obj
 
 
 def _forest_from_dict(data: dict) -> Forest:
     task = TaskKind(data["task"])
-    trees = []
-    for td in data["trees"]:
-        trees.append(Tree(
-            task=task,
-            feature=np.array(td["feature"], dtype=np.int32),
-            threshold=np.array(
-                [math.nan if v is None else v for v in td["threshold"]], dtype=np.float64
-            ),
-            left=np.array(td["left"], dtype=np.int32),
-            right=np.array(td["right"], dtype=np.int32),
-            sample_fraction=np.array(td["sample_fraction"], dtype=np.float64),
-            sample_count=np.array(td["sample_count"], dtype=np.int64),
-            node_pred=np.array(td["node_pred"], dtype=np.float64),
-            bootstrap_indices=np.array(td["bootstrap"], dtype=np.int64),
-            oob_indices=np.array(td["oob"], dtype=np.int64),
-            leaf_km={
-                int(node): StepFunction(
-                    times=np.array(tv[0], dtype=np.float64),
-                    values=np.array(tv[1], dtype=np.float64),
-                    baseline=1.0,
-                )
-                for node, tv in td["leaf_km"].items()
-            },
-        ))
+    trees = [td if isinstance(td, Tree) else _tree_from_dict(td) for td in data["trees"]]
+    for tree in trees:
+        tree.task = task
     params = ForestParams(**data["params"])
     event_grid = data["event_grid"]
     forest = Forest(
@@ -1337,18 +1384,27 @@ def _forest_from_dict(data: dict) -> Forest:
 
 
 def _check_forest(forest: Forest) -> None:
-    """Raise ValueError unless every tree is a tree over the forest's p
-    covariates: its arrays agree in length, node_pred is (nodes,
-    prediction_width), split features lie in [0, p), leaves (feature -1)
-    have children -1 and every ``leaf_km`` key is a leaf, split thresholds
-    are finite and no node prediction is NaN, and the split nodes' children
-    are every node but the root once each and reach back to it, so that
-    routing ends at a leaf."""
+    """Raise ValueError unless the forest holds ``params.n_trees`` trees,
+    its event grid (if any) is finite and strictly increasing, and every
+    tree is a tree over the forest's p covariates: its arrays agree in
+    length, node_pred is (nodes, prediction_width), split features lie in
+    [0, p), leaves (feature -1) have children -1 and every ``leaf_km`` key
+    is a leaf whose curve has as many values as times, split thresholds and
+    node predictions are finite, sample fractions lie in [0, 1], and the
+    split nodes' children are every node but the root once each and reach
+    back to it, so that routing ends at a leaf."""
     p = forest.p
     if not forest.trees:
         raise ValueError("the forest has no trees")
+    if forest.params.n_trees != len(forest.trees):
+        raise ValueError(f"params.n_trees is {forest.params.n_trees},"
+                         f" but the forest has {len(forest.trees)} trees")
     if forest.covariate_names is not None and len(forest.covariate_names) != p:
         raise ValueError(f"p={p} but {len(forest.covariate_names)} covariate names")
+    grid = forest.event_grid
+    if grid is not None and (grid.ndim != 1 or not np.isfinite(grid).all()
+                             or np.any(grid[1:] <= grid[:-1])):
+        raise ValueError("the event grid is not a finite, strictly increasing list")
     for i, tree in enumerate(forest.trees):
         n = tree.n_nodes
         for name in ("threshold", "left", "right", "sample_fraction", "sample_count"):
@@ -1367,8 +1423,15 @@ def _check_forest(forest: Forest) -> None:
             raise ValueError(f"tree {i}: a split threshold is not finite")
         if np.isnan(tree.node_pred).any():
             raise ValueError(f"tree {i}: a node prediction is NaN")
+        if np.isinf(tree.node_pred).any():
+            raise ValueError(f"tree {i}: a node prediction is infinite")
+        if not np.all((tree.sample_fraction >= 0) & (tree.sample_fraction <= 1)):
+            raise ValueError(f"tree {i}: a sample fraction lies outside [0, 1]")
         if any(not 0 <= node < n or split[node] for node in tree.leaf_km):
             raise ValueError(f"tree {i}: a leaf_km key is not a leaf")
+        if any(km.times.ndim != 1 or km.times.shape != km.values.shape
+               for km in tree.leaf_km.values()):
+            raise ValueError(f"tree {i}: a leaf_km curve's times and values differ in length")
         children = np.concatenate([tree.left[split], tree.right[split]])
         if children.size and (children.min() < 0 or children.max() >= n):
             raise ValueError(f"tree {i}: a child index lies outside [0, {n})")
@@ -1392,7 +1455,13 @@ def _check_forest(forest: Forest) -> None:
 
 
 def save_forest(forest: Forest, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(forest_to_dict(forest)))
+    """Write ``json.dumps(forest_to_dict(forest))``, one tree at a time."""
+    head = json.dumps({**_header_to_dict(forest), "trees": []})
+    with open(path, "w") as out:
+        out.write(head[:-2])  # all but the closing "]}"
+        for i, tree in enumerate(forest.trees):
+            out.write((", " if i else "") + json.dumps(_tree_to_dict(tree)))
+        out.write("]}")
 
 
 def load_forest(path: str | Path) -> Forest:
@@ -1403,7 +1472,11 @@ def load_forest(path: str | Path) -> Forest:
     except (OSError, UnicodeDecodeError) as exc:
         raise ForestFileError(f"cannot read forest file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_hook=_decode_object)
     except json.JSONDecodeError as exc:
         raise ForestFileError(f"forest file {path} is not valid JSON: {exc}") from exc
+    except RecursionError as exc:
+        raise ForestFileError(f"forest file {path} nests too deeply to parse") from exc
+    except _MALFORMED as exc:
+        raise _malformed(exc) from exc
     return forest_from_dict(data)

@@ -448,6 +448,14 @@ def _node_pred_nan(doc):
     doc["trees"][2]["node_pred"][0] = [float("nan")]
 
 
+def _feature_overflows(doc):
+    doc["trees"][0]["feature"][0] = 10 ** 20
+
+
+def _sample_count_overflows(doc):
+    doc["trees"][1]["sample_count"][0] = 10 ** 30
+
+
 # each corrupts the forest.json of a 5-tree binary forest over 5 covariates
 FOREST_FAULTS = {
     "array-lengths-disagree": _threshold_short,
@@ -460,6 +468,8 @@ FOREST_FAULTS = {
     "p-differs-from-names": _p_differs_from_names,
     "split-threshold-null": _split_threshold_null,
     "node-pred-nan": _node_pred_nan,
+    "feature-overflows-int32": _feature_overflows,
+    "sample-count-overflows-int64": _sample_count_overflows,
 }
 
 
@@ -476,6 +486,40 @@ def test_explain_malformed_forest_is_data_error(binary_files, tmp_path, fault):
     assert code == 3, err
     assert "data error: malformed serialized forest" in err
     assert "Traceback" not in err
+
+
+def test_explain_deeply_nested_forest_is_data_error(binary_files, tmp_path):
+    # the parser's recursion limit ended in a RecursionError traceback
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000)
+    _, data, schema = binary_files
+    code, err = run_process(["explain", "--data", data, "--schema", schema,
+                             "--forest", path, "--instances", "0", "--out", tmp_path / "x"])
+    assert code == 3, err
+    assert f"data error: forest file {path}" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["train", "explain"])
+def test_unwritable_output_is_usage_error(binary_files, tmp_path, capsys, command):
+    # a directory where an output file goes: the write raised an OSError
+    # that ended in a traceback
+    _, data, schema = binary_files
+    out = tmp_path / "out"
+    if command == "train":
+        blocked = out / "forest.json"
+        args = ["train", "--data", data, "--schema", schema, "--trees", 3, "--out", out]
+    else:
+        blocked = out / "instance_0.txt"
+        args = ["explain", "--data", data, "--schema", schema,
+                "--forest", trained_model(binary_files, tmp_path), "--instances", "0",
+                "--grid-tau", "5", "--grid-k", "1", "--out", out]
+    blocked.mkdir(parents=True)
+    capsys.readouterr()
+    code = run(args)
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert f"usage error: cannot write {blocked}" in err
 
 
 def test_explain_leaf_km_key_not_a_leaf_is_data_error(survival_files, tmp_path):

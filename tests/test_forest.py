@@ -799,6 +799,73 @@ def test_logrank_screen_left_holds_whole_risk_set():
     assert score[0, 5] == score[0, 6] == 0.0
 
 
+def _screen_shape(m, n, G):
+    """(blocks, windows, blocks per window, rows per block) of
+    ``_logrank_screen`` on an (m, n) node with G event times."""
+    s = max(1, math.isqrt(G - 1) + 1)
+    blocks = -(-n // s)
+    width = max(1, forest_mod._EXACT_CELLS // (m * (G + 1)))
+    return blocks, -(-blocks // width), width, s
+
+
+def test_windowed_screen_equals_one_window(rng, monkeypatch):
+    # with the cap out of reach the screen holds every block at once, as it
+    # did before it was windowed; any window must give the same bits
+    seen = set()
+    for trial in range(160):
+        n = int(rng.choice([int(rng.integers(2, 12)), int(rng.integers(12, 400))]))
+        m = int(rng.integers(1, 5))
+        if trial % 8 == 0:
+            times = np.full(n, 2.0)  # G = 1
+        elif rng.random() < 0.4:
+            times = rng.integers(1, int(rng.integers(2, 30)), size=n).astype(np.float64)
+        else:
+            times = rng.uniform(0.1, 5.0, n)
+        events = rng.random(n) < rng.choice([0.1, 0.5, 1.0])
+        events[int(rng.integers(n))] = True
+        X = rng.normal(size=(n, m))
+        X[:, 0] = np.round(X[:, 0])
+        table = _event_tables(times, events)
+        order = np.argsort(X.T, axis=1, kind="stable")
+        sv = np.sort(X.T, axis=1)
+        args = (table.ranks[order], events[order], table, sv[:, :-1] < sv[:, 1:])
+        monkeypatch.setattr(forest_mod, "_EXACT_CELLS", 2**62)
+        whole_score, whole_keep = _logrank_screen(*args)
+        G = table.grid.size
+        for cap in (1, 3 * (G + 1), 64, 1000, 16384):
+            monkeypatch.setattr(forest_mod, "_EXACT_CELLS", cap)
+            score, keep = _logrank_screen(*args)
+            assert score.tobytes() == whole_score.tobytes()
+            assert keep.tobytes() == whole_keep.tobytes()
+            blocks, windows, width, s = _screen_shape(m, n, G)
+            seen.update(name for name, case in (
+                ("one block", blocks == 1), ("partial last block", n % s != 0),
+                ("G = 1", G == 1), ("many windows", windows > 2),
+                ("one-block windows", width == 1 and m * (G + 1) > cap and blocks > 1),
+            ) if case)
+    assert seen == {"one block", "partial last block", "G = 1", "many windows",
+                    "one-block windows"}
+
+
+def test_root_screen_peak_memory_is_bounded():
+    # the screen held O(m n sqrt(G)) cells at once: 441 MiB at this root
+    # before it was windowed, about 10 MiB since
+    ds = make_survival(20000, 10, seed=3)
+    table = _event_tables(ds.times, ds.events)
+    X = ds.covariates[:, :4]
+    order = np.argsort(X.T, axis=1, kind="stable")
+    sv = np.sort(X.T, axis=1)
+    args = (table.ranks[order], ds.events[order], table, sv[:, :-1] < sv[:, 1:])
+    assert table.grid.size > 5000
+    tracemalloc.start()
+    try:
+        _logrank_screen(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
+
+
 def test_zero_variance_cuts_match_oracle(rng):
     # the integer test flags exactly the cuts whose variance terms all vanish
     cases = [
@@ -1276,21 +1343,25 @@ def test_oob_single_class_scores_one():
 # ---------------------------------------------------------------------------
 
 def assert_forests_equal(a, b):
+    """Two forests alike, every tree array by dtype, shape and bytes."""
     assert a.task is b.task and a.p == b.p
     assert a.min_samples_split == b.min_samples_split and a.mtry == b.mtry
     if a.event_grid is None:
         assert b.event_grid is None
     else:
         assert np.array_equal(a.event_grid, b.event_grid)
+    assert len(a.trees) == len(b.trees)
     for ta, tb in zip(a.trees, b.trees):
+        assert ta.task is tb.task
         for attr in ("feature", "threshold", "left", "right", "sample_fraction",
                      "sample_count", "node_pred", "bootstrap_indices", "oob_indices"):
             va, vb = getattr(ta, attr), getattr(tb, attr)
-            assert np.array_equal(va, vb, equal_nan=True), attr
-        assert set(ta.leaf_km) == set(tb.leaf_km)
+            assert va.dtype == vb.dtype and va.shape == vb.shape, attr
+            assert va.tobytes() == vb.tobytes(), attr
+        assert list(ta.leaf_km) == list(tb.leaf_km)
         for node in ta.leaf_km:
-            assert np.array_equal(ta.leaf_km[node].times, tb.leaf_km[node].times)
-            assert np.array_equal(ta.leaf_km[node].values, tb.leaf_km[node].values)
+            assert ta.leaf_km[node].times.tobytes() == tb.leaf_km[node].times.tobytes()
+            assert ta.leaf_km[node].values.tobytes() == tb.leaf_km[node].values.tobytes()
 
 
 def test_round_trip_binary(tmp_path):
@@ -1361,6 +1432,84 @@ def test_malformed_forest_files_raise_forest_file_error(tmp_path):
     with pytest.raises(ForestFileError):
         load_forest(tmp_path / "bad.json")
     assert issubclass(ForestFileError, DataError)
+
+
+@pytest.mark.parametrize("task", ["binary", "multilabel", "multitarget", "regression",
+                                  "survival"])
+def test_save_writes_the_document_and_load_reads_it(task, tmp_path):
+    # save_forest writes tree by tree and load_forest decodes each tree as
+    # the parser finishes it; both must agree with the whole-document path
+    forest = fit_forest(ROUTE_DATA[task](), ForestParams(n_trees=4, seed=8))
+    bare = dataclasses.replace(forest, covariate_names=None, event_grid=None)
+    for f in (forest, bare):
+        path = tmp_path / "forest.json"
+        save_forest(f, path)
+        raw = path.read_bytes()
+        assert raw == json.dumps(forest_to_dict(f)).encode()
+        loaded, decoded = load_forest(path), forest_from_dict(json.loads(raw))
+        assert_forests_equal(loaded, decoded)
+        assert_forests_equal(loaded, f)
+        assert json.dumps(forest_to_dict(loaded)).encode() == raw
+    assert forest.covariate_names and (forest.event_grid is not None) == (task == "survival")
+
+
+def _survival_doc():
+    ds = make_survival(80, 3, seed=4)
+    return forest_to_dict(fit_forest(ds, ForestParams(n_trees=2, seed=1)))
+
+
+def _set_sample_fraction(doc, value):
+    doc["trees"][1]["sample_fraction"][1] = value
+
+
+def _set_node_pred(doc, value):
+    doc["trees"][0]["node_pred"][2] = [value]
+
+
+def _shorten_leaf_km(doc):
+    curve = next(iter(doc["trees"][0]["leaf_km"].values()))
+    curve[1].pop()
+
+
+def _set_event_grid(doc, edit):
+    doc["event_grid"] = edit(doc["event_grid"])
+
+
+def _set_n_trees(doc, value):
+    doc["params"]["n_trees"] = value
+
+
+# each of these loaded before the check that now rejects it
+LOADER_GAPS = {
+    "sample-fraction-inf": (lambda doc: _set_sample_fraction(doc, math.inf), "sample fraction"),
+    "sample-fraction-above-one": (lambda doc: _set_sample_fraction(doc, 1.5), "sample fraction"),
+    "node-pred-inf": (lambda doc: _set_node_pred(doc, math.inf), "prediction is infinite"),
+    "node-pred-minus-inf": (lambda doc: _set_node_pred(doc, -math.inf),
+                            "prediction is infinite"),
+    "leaf-km-lengths-differ": (_shorten_leaf_km, "leaf_km"),
+    "event-grid-decreasing": (lambda doc: _set_event_grid(doc, lambda g: g[::-1]),
+                              "event grid"),
+    "event-grid-repeated": (lambda doc: _set_event_grid(doc, lambda g: g[:1] + g),
+                            "event grid"),
+    "event-grid-infinite": (lambda doc: _set_event_grid(doc, lambda g: g + [math.inf]),
+                            "event grid"),
+    "n-trees-negative": (lambda doc: _set_n_trees(doc, -5), "n_trees"),
+    "n-trees-above-count": (lambda doc: _set_n_trees(doc, 10), "n_trees"),
+}
+
+
+@pytest.mark.parametrize("gap", sorted(LOADER_GAPS))
+def test_loader_rejects_inconsistent_forest(gap, tmp_path):
+    doc = _survival_doc()
+    forest_from_dict(doc)  # the document loads before the edit
+    edit, message = LOADER_GAPS[gap]
+    edit(doc)
+    with pytest.raises(ForestFileError, match=message):
+        forest_from_dict(doc)
+    path = tmp_path / "forest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ForestFileError, match=message):
+        load_forest(path)
 
 
 # ---------------------------------------------------------------------------
