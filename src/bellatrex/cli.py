@@ -196,8 +196,7 @@ def cmd_explain(args) -> None:
         raise SchemaError("forest and dataset covariate schemas do not match")
     if forest.p != ds.p:
         raise SchemaError(f"forest has {forest.p} covariates, the data has {ds.p}")
-    grid = _tuning_grid(args)
-    grid.validate(forest.n_trees)
+    grid = _tuning_grid(args)  # explain_batch checks the axes each arm tunes over
     flags = AblationFlags(skip_preselection=args.no_preselect,
                           skip_projection=args.no_pca)
     rows = _select_instances(args, ds)

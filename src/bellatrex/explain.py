@@ -363,10 +363,6 @@ _LOCKSTEP_INSTANCES = 64
 # from this count on, the block's array kernels cost less (measured
 # crossover, see CHANGES.md).
 _BATCH_INSTANCES = 3
-# Fewer same-shape K > 1 cells than this in one block cluster one at a time
-# (``SortedRows.kmeans``); from this count on, one ``kmeans_batch`` for the
-# group costs less than the cells alone (measured crossover, see CHANGES.md).
-_BATCH_CELLS = 5
 
 
 def explain_batch(
@@ -391,10 +387,9 @@ def explain_batch(
     explanation is the one ``tune_and_explain`` gives alone.  A lockstep
     routes its instances once and vectorizes their rules once; a step's
     instances at one (tau, d) are projected, sorted and solved at K = 1
-    together once there are ``_BATCH_INSTANCES`` of them, and the K > 1
-    cells of one shape (tau, effective d, effective K > 1) among them are
-    clustered by one ``kmeans_batch`` when there are at least
-    ``_BATCH_CELLS`` of them."""
+    together once there are ``_BATCH_INSTANCES`` of them, and then the
+    K > 1 cells of each shape (tau, effective d, effective K > 1) among
+    them are clustered by one ``kmeans_batch``."""
     grid = grid or TuningGrid()
     X = _instances(forest, X)
     m = X.shape[0]
@@ -449,16 +444,14 @@ class _Tuning:
 
     def project(self, p: int, tau: int, dim: int | None) -> tuple[np.ndarray, SortedRows, int]:
         """(projected, sorted rows, effective d) of the step (tau, dim):
-        one eigendecomposition per tau serves all its dimensions."""
-        vectors = self.stacked[:tau]
-        if dim is None:
-            projection = identity_projection(p)
-        else:
+        one eigendecomposition per tau serves all its dimensions, and the
+        identity (``dim`` None) keeps the rule vectors, so d = p."""
+        projected = self.stacked[:tau]
+        if dim is not None:
             if self.spectrum is None or self.spectrum[0] != tau:
-                self.spectrum = (tau, pca_spectrum(vectors))
-            projection = self.spectrum[1].projection(min(dim, p))
-        projected = pca_transform(projection, vectors)
-        return projected, sorted_rows(projected), projection.n_components
+                self.spectrum = (tau, pca_spectrum(projected))
+            projected = pca_transform(self.spectrum[1].projection(min(dim, p)), projected)
+        return projected, sorted_rows(projected), projected.shape[1]
 
     def beats(self, key: tuple) -> bool:
         """Whether a cell of this key (-fidelity, K, effective d, tau)
@@ -537,28 +530,24 @@ class _Lockstep:
     def _fit_block(self, members: list[_Tuning], tau: int, dim: int | None) -> None:
         """Step (tau, dim) of many tunings at once.  Their first tau rule
         vectors are projected as one stack (one ``pca_spectra`` per tau,
-        shared by its dimensions) and sorted by one ``sorted_stack``; every
-        cell clamped to one cluster is solved by one ``kmeans_one``, and the
-        K > 1 cells of one effective K by one ``kmeans_batch`` when there
-        are ``_BATCH_CELLS`` of them.  Each tuning then compares its cells
-        in grid order; only a cell that wins is built (``_Cell``), and its
+        shared by its dimensions; the identity keeps the vectors) and sorted
+        by one ``sorted_stack``; every cell clamped to one cluster is solved
+        by one ``kmeans_one``, and the K > 1 cells of each effective K by one
+        ``kmeans_batch``.  Each tuning then compares its cells in grid
+        order; only a cell that wins is built (``_CellBatch.cell``), and its
         projected rows are copied out of the stack."""
         ks = self.ks
         place = tuple(t.index for t in members)
-        vectors = self.vectors[list(place), :tau]
-        if dim is None:
-            identity = identity_projection(self.p)  # pca_transform of every matrix
-            projected = (vectors - identity.mean) @ identity.components.T
-        else:
+        projected = self.vectors[list(place), :tau]
+        if dim is not None:
             if self.spectra.get(place, (None,))[0] != tau:
-                self.spectra[place] = (tau, pca_spectra(vectors))
+                self.spectra[place] = (tau, pca_spectra(projected))
             projected = self.spectra[place][1].projected(dim)
         effective_d = projected.shape[2]
         rows = sorted_stack(projected)
         distinct = rows.distinct.tolist()
 
-        # per tuning and cluster count: (fidelity, its _CellBatch and place
-        # there, or its _Cell and None)
+        # per tuning and cluster count: (fidelity, its _CellBatch, its place there)
         one = [c for c, n in enumerate(distinct) if min(n, *ks) == 1]
         solved = dict(zip(one, self._fit_batch(members, one, kmeans_one(rows[one])))) if one else {}
         fits = []
@@ -574,18 +563,10 @@ class _Lockstep:
                     shapes.setdefault(min(k, distinct[c]), []).append((c, j, key))
             fits.append(own)
         for k_eff, cells in shapes.items():
-            if len(cells) >= _BATCH_CELLS:
-                rngs = [keyed_generator(key) for _, _, key in cells]
-                chosen = [c for c, _, _ in cells]
-                done = self._fit_batch(members, chosen, kmeans_batch(rows[chosen], k_eff, rngs))
-            else:
-                done = []
-                for c, j, key in cells:
-                    routes = members[c].routes
-                    cell = _fit_cell(routes, routes.order[:tau],
-                                     rows.cell(c).kmeans(ks[j], keyed_generator(key)))
-                    done.append((cell.fidelity, cell, None))
-            for (c, j, _), fit in zip(cells, done):
+            chosen = [c for c, _, _ in cells]
+            clusterings = kmeans_batch(rows[chosen], k_eff,
+                                       [keyed_generator(key) for _, _, key in cells])
+            for (c, j, _), fit in zip(cells, self._fit_batch(members, chosen, clusterings)):
                 fits[c][j] = fit
 
         for c, (t, own) in enumerate(zip(members, fits)):
@@ -594,9 +575,9 @@ class _Lockstep:
                 if t.beats((-own[j][0], k, effective_d, tau)):
                     won = j
             if won is not None:
-                _, source, i = own[won]
-                cell = source if i is None else source.cell(i)
-                t.best = (t.routes.order[:tau], projected[c].copy(), effective_d, cell, ks[won])
+                _, batch, i = own[won]
+                t.best = (t.routes.order[:tau], projected[c].copy(), effective_d, batch.cell(i),
+                          ks[won])
 
     def _fit_batch(self, members: list[_Tuning], chosen: list[int],
                    clusterings: ClusteringBatch) -> list[tuple]:

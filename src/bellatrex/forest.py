@@ -1322,6 +1322,12 @@ def _malformed(exc: Exception) -> ForestFileError:
 def forest_from_dict(data: dict) -> Forest:
     if not isinstance(data, dict) or data.get("format") != _FORMAT:
         raise ForestFileError("not a serialized forest")
+    if "version" not in data:
+        raise ForestFileError("serialized forest lacks the key 'version'")
+    version = data["version"]
+    if type(version) is not int or version != _VERSION:  # not true, not 1.0
+        raise ForestFileError(f"unsupported forest format version"
+                              f" {json.dumps(version, default=repr)}; this reader reads {_VERSION}")
     try:
         return _forest_from_dict(data)
     except _MALFORMED as exc:

@@ -17,8 +17,8 @@ so one-column matrices keep ``mean(axis=0)``.
 per-matrix order, and each Lloyd pass is one set of array operations over
 the (matrices, n, d) stack, which numpy reduces matrix by matrix exactly as
 it reduces one matrix alone (a single column through ``segment_sums``).
-It pays off from a handful of matrices on; the explainer uses it for the
-same-shape grid cells of many instances.
+The explainer clusters every K > 1 cell of a tuning block with it, one
+call per effective K, from a single matrix on.
 
 The explainer's tuning step runs on such stacks too: ``pca_spectra``
 centres, decomposes and projects a stack of rule matrices, ``sorted_stack``
@@ -327,15 +327,9 @@ class SortedStack:
     order: np.ndarray
     distinct: np.ndarray
 
-    def __len__(self) -> int:
-        return self.rows.shape[0]
-
     def __getitem__(self, cells) -> "SortedStack":
         """The stack of the matrices ``cells`` (an index array)."""
         return SortedStack(self.rows[cells], self.order[cells], self.distinct[cells])
-
-    def cell(self, c: int) -> SortedRows:
-        return SortedRows(self.rows[c], self.order[c], int(self.distinct[c]))
 
 
 def _stacked_distances(Xs: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -392,10 +386,10 @@ class ClusteringBatch:
 def kmeans_batch(cells: SortedStack, n_clusters: int,
                  rngs: Sequence[np.random.Generator], max_iter: int = 100,
                  inertia_traces: Sequence[list] | None = None) -> ClusteringBatch:
-    """``cells.cell(c).kmeans(n_clusters, rngs[c], max_iter,
-    inertia_traces[c])`` of every cell of a sorted stack at once, bit for
-    bit, for cells with at least ``n_clusters`` >= 2 distinct rows each (so
-    no clamp and no closed form applies).
+    """``SortedRows.kmeans(n_clusters, rngs[c], max_iter, inertia_traces[c])``
+    of every cell c of a sorted stack at once, bit for bit, for cells with
+    at least ``n_clusters`` >= 2 distinct rows each (so no clamp and no
+    closed form applies).
 
     Each cell draws its K-Means++ seeds from its own generator in the
     per-cell order; every seeding distance, Lloyd assignment and centroid
@@ -498,7 +492,7 @@ def kmeans_batch(cells: SortedStack, n_clusters: int,
 
 
 def kmeans_one(cells: SortedStack) -> ClusteringBatch:
-    """``cells.cell(c).kmeans(1, ...)`` of every cell at once, bit for bit
+    """``SortedRows.kmeans(1, ...)`` of every cell at once, bit for bit
     (the clustering of any K of a cell with one distinct row): the closed
     form, one centroid at the mean of the sorted rows, and each cell's row
     nearest it (lowest input row on ties)."""

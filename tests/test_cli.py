@@ -283,6 +283,45 @@ def test_explain_k_fixed_below_one_is_usage_error(binary_files, tmp_path, capsys
     assert not list(out.glob("instance_*"))
 
 
+@pytest.mark.parametrize("arm", ["--no-preselect", "--no-pca"])
+def test_explain_checks_only_the_axes_it_tunes(binary_files, tmp_path, capsys, arm):
+    # the CLI checked the whole grid before explain_batch checked each arm's
+    # own axes: --no-preselect on a 40-tree forest failed on the default
+    # taus 50 and 80, --no-pca on a dimension it never projects to
+    _, data, schema = binary_files
+    model = tmp_path / "model"
+    run(["train", "--data", data, "--schema", schema, "--trees", 40, "--out", model])
+    grid = [] if arm == "--no-preselect" else ["--grid-tau", "20", "--grid-d", "0"]
+    args = ["explain", "--data", data, "--schema", schema, "--forest", model / "forest.json",
+            "--instances", "3", *grid, "--seed", 4]
+    capsys.readouterr()
+    assert run([*args, arm, "--out", tmp_path / "expl"]) == 0
+    doc = json.loads((tmp_path / "expl" / "instance_3.json").read_text())
+    assert doc["chosen_tau"] == (40 if arm == "--no-preselect" else 20)
+    if arm == "--no-pca":
+        assert doc["chosen_d"] == 5  # p, the identity
+    # the grid the arm does tune over is still checked
+    code = run([*args, arm, "--grid-k", "1,50", "--out", tmp_path / "bad"])
+    err = capsys.readouterr().err
+    assert code == 2 and "usage error: every K must be <= every tau" in err
+
+
+@pytest.mark.parametrize("grid, message", [
+    (["--grid-tau", "20,50"], "every tau must lie in [1, 40]"),
+    (["--grid-tau", "20", "--grid-d", "0"], "projection dimensions must be positive"),
+])
+def test_explain_invalid_grid_is_usage_error(binary_files, tmp_path, capsys, grid, message):
+    _, data, schema = binary_files
+    model = tmp_path / "model"
+    run(["train", "--data", data, "--schema", schema, "--trees", 40, "--out", model])
+    capsys.readouterr()
+    code = run(["explain", "--data", data, "--schema", schema, "--forest", model / "forest.json",
+                "--instances", "3", *grid, "--out", tmp_path / "expl"])
+    err = capsys.readouterr().err
+    assert code == 2 and f"usage error: {message}" in err
+    assert not (tmp_path / "expl").exists()
+
+
 def test_explain_fold_selector(binary_files, tmp_path):
     _, data, schema = binary_files
     model = tmp_path / "model"
@@ -486,6 +525,21 @@ def test_explain_malformed_forest_is_data_error(binary_files, tmp_path, fault):
     assert code == 3, err
     assert "data error: malformed serialized forest" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("version", [2, "1"])
+def test_explain_unknown_forest_version_is_data_error(binary_files, tmp_path, version):
+    # the loader never read "version": any value loaded as version 1
+    path = trained_model(binary_files, tmp_path)
+    doc = json.loads(path.read_text())
+    doc["version"] = version
+    path.write_text(json.dumps(doc))
+    _, data, schema = binary_files
+    code, err = run_process(["explain", "--data", data, "--schema", schema,
+                             "--forest", path, "--instances", "0", "--grid-tau", "5",
+                             "--out", tmp_path / "x"])
+    assert code == 3, err
+    assert f"data error: unsupported forest format version {json.dumps(version)};" in err
 
 
 def test_explain_deeply_nested_forest_is_data_error(binary_files, tmp_path):

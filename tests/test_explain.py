@@ -20,6 +20,7 @@ from bellatrex.explain import (
     tune_and_explain,
 )
 from bellatrex.forest import ForestParams, decision_path, fit_forest, node_path, route
+from bellatrex.numeric import identity_projection, pca_transform
 from bellatrex.synthdata import (
     make_binary,
     make_multilabel,
@@ -384,7 +385,7 @@ def test_explain_batch_equals_per_instance_tuning(task, monkeypatch):
     kmeans_batch = explain_mod.kmeans_batch
 
     def counted(cells, *args):
-        batches.append(len(cells))
+        batches.append(cells.rows.shape[0])
         return kmeans_batch(cells, *args)
 
     monkeypatch.setattr(explain_mod, "kmeans_batch", counted)
@@ -399,12 +400,78 @@ def test_explain_batch_equals_per_instance_tuning(task, monkeypatch):
                         lambda vectors: spectra.append(len(vectors)) or pca_spectra(vectors))
     rows, modes, flags, seeds = zip(*requests)
     explained = explain_batch(forest, ds.covariates[list(rows)], grid, modes, flags, seeds)
-    assert batches and min(batches) >= explain_mod._BATCH_CELLS
+    assert batches
     assert spectra and len(blocks) > len(spectra)
     assert min(blocks + spectra) >= explain_mod._BATCH_INSTANCES
     for (row, mode, arm, seed), got in zip(requests, explained):
         assert_same_explanation(
             got, tune_and_explain(forest, ds.covariates[row], grid, mode, arm, seed))
+
+
+@pytest.mark.parametrize("task", sorted(TASK_DATA) + ["one-covariate"])
+def test_small_blocks_equal_per_instance_tuning(task, monkeypatch):
+    # blocks of 3 and 4 instances: their same-shape K > 1 groups hold few
+    # cells (two per instance when K = 2 and a clamped K = 3 meet), and
+    # each group is still clustered by one kmeans_batch
+    ds = make_regression(70, 1, seed=26) if task == "one-covariate" else TASK_DATA[task]()
+    forest = fit_forest(ds, ForestParams(n_trees=14, seed=3))
+    grid = TuningGrid(taus=(4, 9), dims=(2, 8, None), ks=(1, 2, 3))
+    batches = []
+    kmeans_batch = explain_mod.kmeans_batch
+
+    def counted(cells, *args):
+        batches.append(cells.rows.shape[0])
+        return kmeans_batch(cells, *args)
+
+    monkeypatch.setattr(explain_mod, "kmeans_batch", counted)
+    for rows in ([0, 33, 50], [5, 12, 41, 60]):
+        for mode in (MODE_SIMPLE, MODE_WEIGHTED):
+            for arm in (AblationFlags(), AblationFlags(skip_projection=True)):
+                seeds = [3 * row + 1 for row in rows]
+                explained = explain_batch(forest, ds.covariates[rows], grid, mode, arm, seeds)
+                for row, seed, got in zip(rows, seeds, explained):
+                    assert_same_explanation(
+                        got, tune_and_explain(forest, ds.covariates[row], grid, mode, arm, seed))
+    assert batches and max(batches) <= 8 and min(batches) < 5
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("task", sorted(TASK_DATA))
+def test_identity_step_clusters_the_rule_vectors(task, monkeypatch):
+    # at d = none both tuning paths sort and cluster the rule vectors
+    # themselves, bit for bit the identity projection's pca_transform
+    ds = TASK_DATA[task]()
+    forest = fit_forest(ds, ForestParams(n_trees=14, seed=3))
+    grid = TuningGrid(taus=(4, 9), dims=(None,), ks=(1, 2))
+    sorted_seen = []
+    sorted_rows, sorted_stack = explain_mod.sorted_rows, explain_mod.sorted_stack
+    monkeypatch.setattr(explain_mod, "sorted_rows",
+                        lambda X: sorted_seen.append(X) or sorted_rows(X))
+    monkeypatch.setattr(explain_mod, "sorted_stack",
+                        lambda X: sorted_seen.append(X) or sorted_stack(X))
+    identity = identity_projection(forest.p)
+    rows = [0, 5, 12, 20]
+    for mode in (MODE_SIMPLE, MODE_WEIGHTED):
+        want = {}  # (row, tau) -> rule vectors of the tau trees nearest the forest
+        for row in rows:
+            x = ds.covariates[row]
+            for tau in grid.taus:
+                trees = [forest.trees[int(i)] for i in preselect(forest, x, tau)]
+                want[row, tau] = rule_vectors(trees, [node_path(t, x) for t in trees],
+                                              mode, forest.p)
+                assert same_bits(pca_transform(identity, want[row, tau]), want[row, tau])
+        for block in ([0], rows):  # one instance alone, then a block of four
+            sorted_seen.clear()
+            explained = explain_batch(forest, ds.covariates[block], grid, mode)
+            assert [e.chosen_d for e in explained] == [forest.p] * len(block)
+            expected = [np.stack([want[row, tau] for row in block]) if len(block) > 1
+                        else want[block[0], tau] for tau in grid.taus]
+            assert len(sorted_seen) == len(expected)
+            for seen, wanted in zip(sorted_seen, expected):
+                assert same_bits(seen, wanted)
 
 
 # ---------------------------------------------------------------------------

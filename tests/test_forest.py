@@ -1512,6 +1512,34 @@ def test_loader_rejects_inconsistent_forest(gap, tmp_path):
         load_forest(path)
 
 
+# each of these loaded as a version-1 forest before the loader read "version"
+VERSION_FAULTS = {
+    "ninety-nine": (99, "version 99;"),
+    "string": ("x", 'version "x";'),
+    "true": (True, "version true;"),
+    "null": (None, "version null;"),
+    "float-one": (1.0, "version 1.0;"),
+    "missing": (KeyError, "lacks the key 'version'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(VERSION_FAULTS))
+def test_loader_reads_version(case, tmp_path):
+    doc = _survival_doc()
+    assert doc["version"] == 1 and forest_from_dict(doc)  # version 1 loads
+    value, message = VERSION_FAULTS[case]
+    if value is KeyError:
+        del doc["version"]
+    else:
+        doc["version"] = value
+    with pytest.raises(ForestFileError, match=message):
+        forest_from_dict(doc)
+    path = tmp_path / "forest.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ForestFileError, match=message):
+        load_forest(path)
+
+
 # ---------------------------------------------------------------------------
 # Stacked routing
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ NaN, which ``json.dumps`` writes as a bare ``NaN``), leaves a last line that
 a strict reader refuses."""
 import json
 import math
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -107,11 +108,15 @@ def stub_checkout(root: Path, digest: str = "00", exit_code: int = 0) -> Path:
     return root
 
 
+def bench_pairs_args(parent: Path, change: Path, out: Path) -> list[str]:
+    return ["--parent", str(parent), "--change", str(change), "--workload", "desk-regression",
+            "--pairs", "2", "--out", str(out)]
+
+
 def bench_pairs(parent: Path, change: Path, out: Path) -> subprocess.CompletedProcess:
     return subprocess.run(
-        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"), "--parent", str(parent),
-         "--change", str(change), "--workload", "desk-regression", "--pairs", "2",
-         "--out", str(out)], capture_output=True, text=True, timeout=60)
+        [sys.executable, str(ROOT / "tools" / "bench_pairs.py"),
+         *bench_pairs_args(parent, change, out)], capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("failing", ["parent", "change"])
@@ -136,6 +141,10 @@ def test_bench_pairs_records_whether_digests_match(tmp_path):
     entries = json.loads(out.read_text())["runs"]
     assert [entry["digests_match"] for entry in entries] == [True, False]
     assert entries[1]["change_digests"] == ["digest desk-regression ff"]
+    # each entry names the command line that made it
+    assert entries[1]["command"] == shlex.join(
+        ["python3", "tools/bench_pairs.py",
+         *bench_pairs_args(tmp_path / "c", tmp_path / "d", out)])
 
 
 def _refuse_constant(name):

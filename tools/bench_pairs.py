@@ -8,15 +8,17 @@ Each pair runs the workload once in each checkout, one process at a time;
 even pairs run the parent first, odd pairs the change.  For every gated
 end-to-end metric the file records both sides' runs, medians and
 quartiles, and the pairs in which the change is better; it also records
-each run's digest line and environment line, and whether both sides'
-digests match.  An existing ``--out`` file gains the workload as one more
-entry of ``runs``.  A run that exits non-zero or ends without a result line
-stops the tool with exit code 1, naming the side and the workload.
+the tool's own command line, each run's digest line and environment line,
+and whether both sides' digests match.  An existing ``--out`` file gains
+the workload as one more entry of ``runs``.  A run that exits non-zero or
+ends without a result line stops the tool with exit code 1, naming the
+side and the workload.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import shlex
 import statistics
 import subprocess
 import sys
@@ -71,6 +73,7 @@ def main(argv=None) -> int:
     parser.add_argument("--seconds", type=float, default=35.0)
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--out", type=Path, required=True)
+    argv = sys.argv[1:] if argv is None else [str(a) for a in argv]
     args = parser.parse_args(argv)
 
     runs = {"parent": [], "change": []}
@@ -85,7 +88,8 @@ def main(argv=None) -> int:
                 return 1
             print(f"pair {pair} {side}: {runs[side][-1]['metrics']}", flush=True)
 
-    entry = {"workload": args.workload, "seed": args.seed, "seconds": args.seconds,
+    entry = {"command": shlex.join(["python3", "tools/bench_pairs.py", *argv]),
+             "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
              "pairs": args.pairs, "first_side": "parent on even pairs, change on odd pairs",
              "correct": all(r["correct"] and not r["failed"] for side in runs.values() for r in side),
              "metrics": {}}
