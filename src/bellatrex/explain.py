@@ -359,10 +359,12 @@ def tune_and_explain(
 # enough that their routes and rule vectors stay small.
 _LOCKSTEP_INSTANCES = 64
 # Fewer instances than this at one (tau, dim) step are projected, sorted and
-# solved at K = 1 one at a time (``_Tuning.project``, ``SortedRows.kmeans``);
-# from this count on, the block's array kernels cost less (measured
-# crossover, see CHANGES.md).
-_BATCH_INSTANCES = 3
+# clustered one at a time (``_Tuning.project``, ``SortedRows.kmeans``); from
+# this count on, the block's array kernels cost less.  Measured crossover on
+# a 100-tree binary forest (p = 24), ms per instance, block against one at a
+# time, over four processes: blocks of 3 took 3.90-4.10 against 3.71-4.10,
+# blocks of 4 took 3.40-3.79 against 3.65-3.96.
+_BATCH_INSTANCES = 4
 
 
 def explain_batch(

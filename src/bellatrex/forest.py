@@ -41,10 +41,12 @@ lower value where the midpoint would not separate them,
 ``_split_thresholds``).  All the step's impurity
 nodes are then scored in one padded batch (``_impurity_splits``): one sort
 along each candidate of each node, non-cuts (equal neighbours) masked, and
-prefix sums, from which Gini and variance gains follow.  Nodes are bucketed by
-the power of two at or above their row count and cut into chunks of at
-most ``_BATCH_CELLS`` padded cells, which bounds the memory of a step.  A
-node's split depends on its own rows only, so a tree does not depend on
+prefix sums, from which Gini and variance gains follow.  The nodes are
+taken in decreasing row count, and each chunk takes as many of the next
+nodes as fit in ``_BATCH_CELLS`` padded cells at the width of its first,
+widest node, which bounds the memory of a step; a node wider than the cap
+is scored alone, a group of candidates at a time (``_impurity_splits``).
+A node's split depends on its own rows only, so a tree does not depend on
 the trees it grows beside.
 
 A survival node is searched on its own by ``best_split``.  It has one
@@ -355,30 +357,30 @@ def _sort_keys(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 # Largest padded block, in cells (nodes x candidates x padded rows x
-# targets), that one batched impurity scoring call stacks.  A lockstep step
-# holds one node of every tree in the group: stacked whole, the 100 roots
-# of a forest on 800 rows (p = 24) raised the fit's traced peak memory
-# from 5.7 to 40 MiB.  At 8,192 cells (64 KiB per float64 array) each numpy
-# call is still shared by about 20 nodes of a few dozen rows: with a cap 16
-# times larger, 100 trees on 100 rows fitted no faster, and 100 trees on
-# 800 rows about 5% faster.
+# targets), that one batched impurity scoring call stacks; it bounds the
+# memory of a lockstep step.  Uncapped, the first steps of a 100-tree
+# binary fit on 800 rows (p = 24) stack every tree's node in one block, and
+# the fit's traced peak reaches 28.6 MiB against 4.1 MiB at this cap.
+# Split search time, median of five in each of two processes, on that fit
+# and on a desk-regression ``run_benchmark``: 253-273 and 87-93 ms at
+# 4,096 cells, 241-259 and 90-94 ms at 8,192, and 272-276 and 95-100 ms at
+# 16,384, whose chunks pad more.
 _BATCH_CELLS = 8192
 
 
 def _plan_chunks(sizes, cells_per_row: int) -> list[np.ndarray]:
-    """Chunks of node indices for batched scoring.  Nodes of ``sizes`` rows
-    are bucketed by the power of two at or above their row count, so a
-    chunk pads each node to less than twice its rows; each bucket is cut
-    into chunks of at most ``_BATCH_CELLS`` cells at its width (a node
-    wider than the cap is a chunk of its own)."""
-    buckets: dict[int, list[int]] = {}
-    for i, n in enumerate(sizes):
-        buckets.setdefault(1 << (int(n) - 1).bit_length(), []).append(i)
+    """Chunks of node indices for batched scoring.  The nodes of ``sizes``
+    rows are taken in decreasing row count, and each chunk takes as many of
+    the next nodes as fit in ``_BATCH_CELLS`` cells at the width of its
+    first (widest) node; a node wider than the cap is a chunk of its own."""
+    order = np.argsort(-sizes, kind="stable")
     chunks = []
-    for width, members in sorted(buckets.items()):
-        per_chunk = max(1, _BATCH_CELLS // (width * cells_per_row))
-        members = np.array(members)
-        chunks.extend(members[k:k + per_chunk] for k in range(0, members.size, per_chunk))
+    start = 0
+    while start < order.size:
+        width = int(sizes[order[start]])
+        stop = start + max(1, _BATCH_CELLS // (width * cells_per_row))
+        chunks.append(order[start:stop])
+        start = stop
     return chunks
 
 
@@ -391,13 +393,26 @@ def _impurity_splits(X: np.ndarray, keys: np.ndarray, Y: np.ndarray, index: np.n
     draws the sorted candidates ``cands[i]``; ``keys`` is ``rank_keys(X)``.
     The nodes are scored in padded chunks (see ``_plan_chunks``); a node's
     result depends on its own rows only, not on the nodes that share its
-    chunk."""
+    chunk.  A node wider than ``_BATCH_CELLS`` is scored in groups of as
+    many of its candidates as fit in the cap (at least one), and keeps the
+    first maximum in candidate order, as one call over all of them would: a
+    later group wins only with a strictly larger score.  (A gain is NaN
+    only where a node's target sums overflow, and then at every cut of the
+    node, which does not split either way.)"""
     feature = np.empty(sizes.size, dtype=np.intp)
     threshold = np.empty(sizes.size)
     score = np.empty(sizes.size)
     for chunk in _plan_chunks(sizes, cands.shape[1] * Y.shape[1]):
-        feature[chunk], threshold[chunk], score[chunk] = _impurity_chunk(
-            X, keys, Y, index, starts[chunk], sizes[chunk], cands[chunk], regression)
+        # all the candidates, unless the chunk is one node wider than the cap
+        group = max(1, _BATCH_CELLS // (int(sizes[chunk[0]]) * Y.shape[1]))
+        for lo in range(0, cands.shape[1], group):
+            found = _impurity_chunk(X, keys, Y, index, starts[chunk], sizes[chunk],
+                                    cands[chunk, lo:lo + group], regression)
+            if lo:
+                later = found[2] > score[chunk]
+                found = [np.where(later, new, kept[chunk])
+                         for new, kept in zip(found, (feature, threshold, score))]
+            feature[chunk], threshold[chunk], score[chunk] = found
     return feature, threshold, score
 
 

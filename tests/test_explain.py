@@ -424,6 +424,7 @@ def test_small_blocks_equal_per_instance_tuning(task, monkeypatch):
         return kmeans_batch(cells, *args)
 
     monkeypatch.setattr(explain_mod, "kmeans_batch", counted)
+    monkeypatch.setattr(explain_mod, "_BATCH_INSTANCES", 3)  # blocks of 3 on the block path
     for rows in ([0, 33, 50], [5, 12, 41, 60]):
         for mode in (MODE_SIMPLE, MODE_WEIGHTED):
             for arm in (AblationFlags(), AblationFlags(skip_projection=True)):
@@ -433,6 +434,24 @@ def test_small_blocks_equal_per_instance_tuning(task, monkeypatch):
                     assert_same_explanation(
                         got, tune_and_explain(forest, ds.covariates[row], grid, mode, arm, seed))
     assert batches and max(batches) <= 8 and min(batches) < 5
+
+
+def test_three_instances_are_tuned_one_at_a_time(monkeypatch):
+    # at three instances a (tau, d) step's K > 1 groups hold one to six
+    # cells, and a kmeans_batch over them cost more than one SortedRows.kmeans
+    # per cell
+    ds = TASK_DATA["binary"]()
+    forest = fit_forest(ds, ForestParams(n_trees=14, seed=3))
+    calls = []
+    kmeans_batch = explain_mod.kmeans_batch
+    monkeypatch.setattr(explain_mod, "kmeans_batch",
+                        lambda *args: calls.append(1) or kmeans_batch(*args))
+    grid = TuningGrid(taus=(4, 9), dims=(2, 8, None), ks=(1, 2, 3))
+    explained = explain_batch(forest, ds.covariates[[0, 33, 50]], grid, seeds=[1, 2, 3])
+    assert not calls
+    for row, seed, got in zip([0, 33, 50], [1, 2, 3], explained):
+        assert_same_explanation(got, tune_and_explain(forest, ds.covariates[row], grid,
+                                                      seed=seed))
 
 
 def same_bits(a, b):

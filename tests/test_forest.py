@@ -669,10 +669,62 @@ def test_chunk_plan_respects_the_cap():
         per_row = int(rng.integers(1, 60))
         chunks = forest_mod._plan_chunks(sizes, per_row)
         assert sorted(i for chunk in chunks for i in chunk) == list(range(sizes.size))
-        for chunk in chunks:
-            widest = int(sizes[chunk].max())
-            assert widest < 2 * int(sizes[chunk].min())  # one power-of-two bucket
-            assert len(chunk) == 1 or len(chunk) * widest * per_row <= cap
+        widths = [int(sizes[i]) for chunk in chunks for i in chunk]
+        assert widths == sorted(widths, reverse=True)  # a chunk's first node is its widest
+        for k, chunk in enumerate(chunks):
+            first = int(sizes[chunk[0]])
+            assert len(chunk) == 1 or len(chunk) * first * per_row <= cap
+            if k + 1 < len(chunks):  # it could not also take the next node
+                assert (len(chunk) + 1) * first * per_row > cap
+
+
+def test_chunk_plan_packs_nodes_of_mixed_sizes():
+    # 20 nodes of 5 to 40 rows at 3 cells a row fill 2,400 of the 8,192
+    # cells at the widest node's width: one chunk, not one per size
+    sizes = np.tile([5, 10, 20, 40], 5)
+    assert len(forest_mod._plan_chunks(sizes, 3)) == 1
+
+
+@pytest.mark.parametrize("regression", [False, True], ids=["gini", "variance"])
+def test_wide_nodes_score_in_candidate_groups(regression, monkeypatch):
+    # caps that cut nodes into groups of one or a few candidates;
+    # duplicated covariates tie across groups, where the first must win
+    rng = np.random.default_rng(41 + regression)
+    task = TaskKind.MULTI_TARGET if regression else TaskKind.MULTI_LABEL
+    groups, partial = [], set()
+    chunk_kernel = forest_mod._impurity_chunk
+
+    def counted(X, keys, Y, index, starts, sizes, cands, regression):
+        groups.append(cands.shape[1])
+        return chunk_kernel(X, keys, Y, index, starts, sizes, cands, regression)
+
+    monkeypatch.setattr(forest_mod, "_impurity_chunk", counted)
+    for _ in range(8):
+        X, Y, rows, cands = _impurity_nodes(rng, regression, int(rng.integers(1, 40)))
+        cands = np.hstack([cands, cands + X.shape[1]])
+        X = np.hstack([X, X])
+        expected = [reference_best_split(X, Y, task, r, c) for r, c in zip(rows, cands)]
+        keys = forest_mod.rank_keys(X)
+        for cap in (16, 300, 2000):
+            monkeypatch.setattr(forest_mod, "_BATCH_CELLS", cap)
+            assert impurity_splits(X, keys, Y, rows, cands, regression) == expected
+            partial.update(m for m in groups if m < cands.shape[1])
+            groups.clear()
+    assert 1 in partial and max(partial) > 1
+
+
+def test_wide_node_peak_memory_is_capped():
+    # the root of this tree is one node of 3,000 rows x 10 candidates x 8
+    # targets: scored whole, the fit's traced peak is 15.8 MiB, and 2.1 MiB
+    # one group of candidates at a time
+    ds = make_multitarget(3000, 30, 8, seed=1)
+    tracemalloc.start()
+    try:
+        fit_forest(ds, ForestParams(n_trees=1, seed=1, mtry=10, max_depth=2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 2**20
 
 
 def test_fit_peak_memory_is_capped():

@@ -92,31 +92,41 @@ def test_bench_pairs_needs_two_pairs(tmp_path, pairs):
     assert done.stdout == "" and not out.exists()
 
 
+# A stub benchmark: its n-th run prints op_ms_p50 = op_ms[n] (the last
+# value once they run out) and 1.0 for the other metrics.
 STUB_RUN = """import json, sys
+from pathlib import Path
 if {exit_code}:
     sys.exit({exit_code})
+seen = Path(__file__).with_name("runs")
+run = len(seen.read_text()) if seen.exists() else 0
+seen.write_text("x" * (run + 1))
+op_ms = {op_ms}
 print("# env stub")
 print("digest desk-regression {digest}")
 print(json.dumps({{"correct": True, "failed": 0, "metrics": {{
-    name: {{"value": 1.0}} for name in ("op_ms_p50", "setup_s", "peak_rss_mb")}}}}))
+    "op_ms_p50": {{"value": op_ms[min(run, len(op_ms) - 1)]}},
+    "setup_s": {{"value": 1.0}}, "peak_rss_mb": {{"value": 1.0}}}}}}))
 """
 
 
-def stub_checkout(root: Path, digest: str = "00", exit_code: int = 0) -> Path:
+def stub_checkout(root: Path, digest: str = "00", exit_code: int = 0,
+                  op_ms: tuple[float, ...] = (1.0,)) -> Path:
     (root / "perfbench").mkdir(parents=True)
-    (root / "perfbench" / "run.py").write_text(STUB_RUN.format(digest=digest, exit_code=exit_code))
+    (root / "perfbench" / "run.py").write_text(
+        STUB_RUN.format(digest=digest, exit_code=exit_code, op_ms=list(op_ms)))
     return root
 
 
-def bench_pairs_args(parent: Path, change: Path, out: Path) -> list[str]:
+def bench_pairs_args(parent: Path, change: Path, out: Path, pairs: int = 2) -> list[str]:
     return ["--parent", str(parent), "--change", str(change), "--workload", "desk-regression",
-            "--pairs", "2", "--out", str(out)]
+            "--pairs", str(pairs), "--out", str(out)]
 
 
-def bench_pairs(parent: Path, change: Path, out: Path) -> subprocess.CompletedProcess:
+def bench_pairs(parent: Path, change: Path, out: Path, pairs: int = 2) -> subprocess.CompletedProcess:
     return subprocess.run(
         [sys.executable, str(ROOT / "tools" / "bench_pairs.py"),
-         *bench_pairs_args(parent, change, out)], capture_output=True, text=True, timeout=60)
+         *bench_pairs_args(parent, change, out, pairs)], capture_output=True, text=True, timeout=60)
 
 
 @pytest.mark.parametrize("failing", ["parent", "change"])
@@ -145,6 +155,33 @@ def test_bench_pairs_records_whether_digests_match(tmp_path):
     assert entries[1]["command"] == shlex.join(
         ["python3", "tools/bench_pairs.py",
          *bench_pairs_args(tmp_path / "c", tmp_path / "d", out)])
+
+
+TIGHT = tuple(100.0 + k for k in range(10))  # quartile spread 4.5 ms
+WIDE = (90.0, 91.0, 92.0, 93.0, 94.0, 150.0, 160.0, 170.0, 180.0, 190.0)  # spread 74.25 ms
+
+
+@pytest.mark.parametrize("parent, change, expected", [
+    (TIGHT, tuple(v - 20 for v in TIGHT), "gain"),
+    (TIGHT, tuple(v + 30 for v in TIGHT), "worse"),
+    (WIDE, tuple(v + 1 for v in WIDE), "unresolved"),
+    # wins every pair, but by less than the parent's spread: every change run
+    # is better than every parent run, so a wide spread leaves no doubt
+    (WIDE, tuple(85.0 + k / 2 for k in range(10)), "within bound"),
+    (TIGHT, tuple(v + 1 for v in TIGHT), "within bound"),
+], ids=["gain", "worse", "unresolved", "beats-every-run", "within-bound"])
+def test_bench_pairs_states_each_metrics_verdict(tmp_path, parent, change, expected):
+    # op_ms_p50's bound in BENCHMARK.json is a quarter of the parent's median
+    out = tmp_path / "bench.json"
+    done = bench_pairs(stub_checkout(tmp_path / "parent", op_ms=parent),
+                       stub_checkout(tmp_path / "change", op_ms=change), out, pairs=10)
+    assert done.returncode == 0, done.stderr
+    metrics = json.loads(out.read_text())["runs"][0]["metrics"]
+    assert metrics["op_ms_p50"]["verdict"] == expected
+    assert metrics["op_ms_p50"]["bound"] == 0.25
+    assert metrics["op_ms_p50"]["parent"]["runs"] == list(parent)
+    assert metrics["setup_s"]["verdict"] == "within bound"
+    assert f"desk-regression op_ms_p50: {expected}" in done.stdout
 
 
 def _refuse_constant(name):

@@ -7,12 +7,13 @@
 Each pair runs the workload once in each checkout, one process at a time;
 even pairs run the parent first, odd pairs the change.  For every gated
 end-to-end metric the file records both sides' runs, medians and
-quartiles, and the pairs in which the change is better; it also records
-the tool's own command line, each run's digest line and environment line,
-and whether both sides' digests match.  An existing ``--out`` file gains
-the workload as one more entry of ``runs``.  A run that exits non-zero or
-ends without a result line stops the tool with exit code 1, naming the
-side and the workload.
+quartiles, the pairs in which the change is better, and a verdict against
+the metric's bound in this repository's ``BENCHMARK.json`` (see
+``verdict``); it also records the tool's own command line, each run's
+digest line and environment line, and whether both sides' digests match.
+An existing ``--out`` file gains the workload as one more entry of
+``runs``.  A run that exits non-zero or ends without a result line stops
+the tool with exit code 1, naming the side and the workload.
 """
 from __future__ import annotations
 
@@ -24,14 +25,17 @@ import subprocess
 import sys
 from pathlib import Path
 
-METRICS = ("op_ms_p50", "setup_s", "peak_rss_mb")  # all "lower is better"
+# its "end_to_end" entries are the gated metrics: name, better ("lower" or
+# "higher") and bound; the tool only reads it
+BENCHMARK = Path(__file__).resolve().parent.parent / "BENCHMARK.json"
 
 
 class RunFailed(Exception):
     """A benchmark run that gave no result."""
 
 
-def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
+def run_once(checkout: Path, workload: str, seconds: float, seed: int,
+             names: list[str]) -> dict:
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", str(seconds),
          "--seed", str(seed)], cwd=checkout, stdout=subprocess.PIPE, text=True)
@@ -43,7 +47,7 @@ def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
         return {
             "correct": result["correct"],
             "failed": result["failed"],
-            "metrics": {name: result["metrics"][name]["value"] for name in METRICS},
+            "metrics": {name: result["metrics"][name]["value"] for name in names},
             "digest": next(line for line in lines if line.startswith("digest ")),
             "env": next(line for line in lines if line.startswith("# env ")),
         }
@@ -54,6 +58,36 @@ def run_once(checkout: Path, workload: str, seconds: float, seed: int) -> dict:
 def summary(values: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"runs": values, "median": median, "q1": q1, "q3": q3}
+
+
+def better_pairs(parent: list[float], change: list[float], better: str) -> int:
+    """The pairs in which the change reads better; ties count for neither."""
+    sign = 1.0 if better == "lower" else -1.0
+    return sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+
+
+def verdict(parent: list[float], change: list[float], better: str, bound: float) -> str:
+    """The change's verdict on one metric, from paired runs:
+
+    - ``gain``: better in at least nine tenths of the pairs (ties count for
+      neither side), and the medians differ by more than the parent's
+      quartile spread;
+    - ``worse``: the change's median is worse than the parent's by more
+      than ``bound``, a fraction of the parent's median;
+    - ``unresolved``: the parent's quartile spread is wider than the bound,
+      unless every change run is better than every parent run;
+    - ``within bound``: otherwise."""
+    sign = 1.0 if better == "lower" else -1.0
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gap = sign * (median - statistics.median(change))  # > 0: the change is better
+    if 10 * better_pairs(parent, change, better) >= 9 * len(parent) and gap > q3 - q1:
+        return "gain"
+    if -gap > bound * abs(median):
+        return "worse"
+    if q3 - q1 > bound * abs(median) and not (
+            min(sign * p for p in parent) > max(sign * c for c in change)):
+        return "unresolved"
+    return "within bound"
 
 
 def pair_count(raw: str) -> int:
@@ -75,13 +109,15 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     argv = sys.argv[1:] if argv is None else [str(a) for a in argv]
     args = parser.parse_args(argv)
+    metrics = json.loads(BENCHMARK.read_text())["end_to_end"]
+    names = [metric["name"] for metric in metrics]
 
     runs = {"parent": [], "change": []}
     for pair in range(args.pairs):
         for side in ("parent", "change") if pair % 2 == 0 else ("change", "parent"):
             try:
                 runs[side].append(run_once(getattr(args, side), args.workload, args.seconds,
-                                           args.seed))
+                                           args.seed, names))
             except RunFailed as exc:
                 print(f"bench_pairs: the {side} run of {args.workload} (pair {pair}) failed: {exc}",
                       file=sys.stderr)
@@ -93,13 +129,16 @@ def main(argv=None) -> int:
              "pairs": args.pairs, "first_side": "parent on even pairs, change on odd pairs",
              "correct": all(r["correct"] and not r["failed"] for side in runs.values() for r in side),
              "metrics": {}}
-    for name in METRICS:
+    for metric in metrics:
+        name, better, bound = metric["name"], metric["better"], metric["bound"]
         parent = [r["metrics"][name] for r in runs["parent"]]
         change = [r["metrics"][name] for r in runs["change"]]
         entry["metrics"][name] = {
             "parent": summary(parent), "change": summary(change),
-            "change_better_pairs": sum(c < p for p, c in zip(parent, change)),
+            "change_better_pairs": better_pairs(parent, change, better),
+            "bound": bound, "verdict": verdict(parent, change, better, bound),
         }
+        print(f"{args.workload} {name}: {entry['metrics'][name]['verdict']}")
     for side, side_runs in runs.items():
         entry[f"{side}_digests"] = sorted({r["digest"] for r in side_runs})
         entry[f"{side}_env"] = side_runs[0]["env"]
