@@ -369,14 +369,8 @@ ABLATION_COLUMNS = ["dataset", "fold", "arm", *_ABLATION_METRICS]
 
 
 def benchmark_tsv(fold_rows: list[dict], reports: list[MetricReport]) -> str:
-    rows = list(fold_rows)
-    for rep in reports:
-        rows.append({
-            "dataset": rep.dataset, "fold": "average", "method": rep.method,
-            "performance": rep.performance, "complexity": rep.complexity,
-            "dissimilarity": rep.dissimilarity, "mean_rules": rep.mean_rules,
-        })
-    return rows_to_tsv(rows, BENCH_COLUMNS)
+    averages = [{**vars(rep), "fold": "average"} for rep in reports]
+    return rows_to_tsv([*fold_rows, *averages], BENCH_COLUMNS)
 
 
 def benchmark_json(fold_rows: list[dict], reports: list[MetricReport]) -> dict:

@@ -355,9 +355,15 @@ def tune_and_explain(
     return explain_batch(forest, [x], grid, mode, flags, [seed])[0]
 
 
-# Instances tuned in one lockstep: enough for large same-shape groups, few
-# enough that their routes and rule vectors stay small.
-_LOCKSTEP_INSTANCES = 64
+# Rule-vector cells (instances x largest tau x p) of one lockstep, which
+# holds at least one instance: enough for large same-shape groups at narrow
+# p, few enough that the vectors and their projected and sorted copies stay
+# small at wide p.  Measured with 30 trees and taus 10/20/30 at p = 2,000:
+# 64, 8, 4 and 2 instances a lockstep traced 62.8, 31.5, 16.1 and 7.4 MiB at
+# 26.3, 19.2, 24.8 and 37.1 ms a row; at p = 8 with 100 trees, 64 instances
+# took 6.3-7.1 ms a row and 256 took 4.2-5.3 ms.  This budget gives 4 and
+# about 400 instances at those shapes.
+_LOCKSTEP_CELLS = 2 ** 18
 # Fewer instances than this at one (tau, dim) step are projected, sorted and
 # clustered one at a time (``_Tuning.project``, ``SortedRows.kmeans``); from
 # this count on, the block's array kernels cost less.  Measured crossover on
@@ -383,10 +389,12 @@ def explain_batch(
     The seeds of all the batch's K > 1 cells, and the generators they key,
     are hashed together (``_seeds``), bit for bit what ``derive_seed`` and
     ``np.random.default_rng`` give one at a time.  The instances are then
-    tuned in lockstep, ``_LOCKSTEP_INSTANCES`` at a time, one (tau, d) step
-    of their grids at a time, and each keeps only its best cell so far;
-    each instance still visits its own cells in grid order, so each
-    explanation is the one ``tune_and_explain`` gives alone.  A lockstep
+    tuned in locksteps, one (tau, d) step of their grids at a time, and each
+    keeps only its best cell so far; a lockstep holds as many instances as
+    keep its rule vectors (instances x largest tau x p) within
+    ``_LOCKSTEP_CELLS``, and at least one.  Each instance still visits its
+    own cells in grid order, so its explanation is the one
+    ``tune_and_explain`` gives alone, whatever its lockstep holds.  A lockstep
     routes its instances once and vectorizes their rules once; a step's
     instances at one (tau, d) are projected, sorted and solved at K = 1
     together once there are ``_BATCH_INSTANCES`` of them, and then the
@@ -416,9 +424,11 @@ def explain_batch(
              if grid.ks[index % len(grid.ks)] > 1]
     keys = iter(generator_keys(derive_seeds(parts)))  # instance after instance, in grid order
 
+    width = max((max(taus) for taus, _ in axes.values()), default=1)
+    size = max(1, _LOCKSTEP_CELLS // (width * forest.p))  # instances a lockstep
     explanations = []
-    for lo in range(0, m, _LOCKSTEP_INSTANCES):
-        chunk = range(lo, min(m, lo + _LOCKSTEP_INSTANCES))
+    for lo in range(0, m, size):
+        chunk = range(lo, min(m, lo + size))
         lockstep = _Lockstep(forest, X[lo:chunk.stop], [modes[i] for i in chunk],
                              [axes[arms[i]] for i in chunk], grid.ks, keys)
         for s in range(max(len(t.steps) for t in lockstep.tunings)):
@@ -594,64 +604,39 @@ class _Lockstep:
 # Rendering
 # ---------------------------------------------------------------------------
 
-def _fmt_value(v: float) -> str:
-    return f"{v:.4g}"
-
-
-def _fmt_pred(pred: np.ndarray) -> str:
-    arr = np.atleast_1d(pred)
-    if arr.size == 1:
-        return f"{float(arr[0]):.3f}"
-    return "[" + ", ".join(f"{float(v):.3f}" for v in arr) + "]"
-
-
-def _rule_lines(rule: FinalRule, index: int, names: tuple[str, ...] | None,
-                x: np.ndarray) -> list[str]:
-    def name_of(j: int) -> str:
-        return names[j] if names else f"x{j}"
-
-    steps = rule.steps
-    head = (
-        f"rule {index} (w_{index}={rule.weight:.2f})"
-        f" initial estimate = {_fmt_pred(steps[0].prediction)}"
-    )
-    lines = [head]
-    for pos, step in enumerate(steps[:-1]):
-        nxt = steps[pos + 1]
-        op = "<=" if step.went_left else ">"
-        line = (
-            f"  ({name_of(step.feature)} = {_fmt_value(float(x[step.feature]))})"
-            f" {name_of(step.feature)} {op} {_fmt_value(step.threshold)}"
-            f" -> {_fmt_pred(nxt.prediction)}"
-        )
-        if pos == len(steps) - 2:
-            line += " (leaf)"
-        lines.append(line)
-    return lines
+def _fmt_pred(value) -> str:
+    """A document's prediction (a number, or a list of several) for the text."""
+    if isinstance(value, list):
+        return "[" + ", ".join(f"{v:.3f}" for v in value) + "]"
+    return f"{value:.3f}"
 
 
 def render_text(explanation: Explanation, names: tuple[str, ...] | None = None,
                 forest: Forest | None = None) -> str:
-    """Human-readable rendering: per rule, the weight, the root ("initial")
-    estimate and one line per split showing the instance value, the test
-    taken and the updated running prediction, ending at the leaf."""
+    """Human-readable view of ``render_json``'s document: per rule, the
+    weight, the root ("initial") estimate and one line per split showing the
+    instance value, the test taken and the updated running prediction,
+    ending at the leaf, then any leaf survival curve."""
+    doc = render_json(explanation, names, forest)
     out = [
-        f"forest prediction = {_fmt_pred(explanation.forest_prediction)}",
-        f"surrogate prediction = {_fmt_pred(explanation.surrogate)}"
-        f" (fidelity = {explanation.fidelity:.4f})",
-        f"chosen: tau={explanation.chosen_tau}, d={explanation.chosen_d},"
-        f" K={explanation.chosen_k}",
+        f"forest prediction = {_fmt_pred(doc['forest_prediction'])}",
+        f"surrogate prediction = {_fmt_pred(doc['surrogate'])}"
+        f" (fidelity = {doc['fidelity']:.4f})",
+        f"chosen: tau={doc['chosen_tau']}, d={doc['chosen_d']}, K={doc['chosen_k']}",
     ]
-    for i, rule in enumerate(explanation.final_rules, start=1):
-        out.append("")
-        out.extend(_rule_lines(rule, i, names, explanation.instance))
-        if forest is not None and forest.task is TaskKind.SURVIVAL:
-            km = forest.trees[rule.tree_index].leaf_km.get(rule.steps[-1].node_id)
-            if km is not None and km.times.size:
-                points = ", ".join(
-                    f"S({_fmt_value(t)})={v:.3f}" for t, v in zip(km.times, km.values)
-                )
-                out.append(f"  leaf survival curve: {points}")
+    for i, rule in enumerate(doc["rules"], start=1):
+        out += ["", f"rule {i} (w_{i}={rule['weight']:.2f})"
+                    f" initial estimate = {_fmt_pred(rule['initial_estimate'])}"]
+        for step in rule["steps"]:
+            name = step["feature"]
+            out.append(f"  ({name} = {step['value']:.4g}) {name} {step['direction']}"
+                       f" {step['threshold']:.4g} -> {_fmt_pred(step['prediction'])}")
+        if rule["steps"]:
+            out[-1] += " (leaf)"
+        if rule.get("km_times"):
+            points = ", ".join(f"S({t:.4g})={v:.3f}"
+                               for t, v in zip(rule["km_times"], rule["km_values"]))
+            out.append(f"  leaf survival curve: {points}")
     return "\n".join(out) + "\n"
 
 
@@ -664,8 +649,8 @@ def _scalar_or_list(pred: np.ndarray):
 
 def render_json(explanation: Explanation, names: tuple[str, ...] | None = None,
                 forest: Forest | None = None) -> dict:
-    """JSON document with stable field names (see the text rendering for the
-    same content in human form)."""
+    """JSON document with stable field names; ``render_text`` and
+    ``plot_tsv`` are views of it."""
 
     def name_of(j: int) -> str:
         return names[j] if names else f"x{j}"
@@ -730,19 +715,13 @@ def render_json_text(explanation: Explanation, names: tuple[str, ...] | None = N
 
 
 def plot_tsv(explanation: Explanation) -> str:
-    """Plot data: one row per pre-selected rule with its 2-D coordinates,
-    cluster id, representative flag and prediction."""
+    """Plot data, a view of ``render_json``'s projected points: one row per
+    pre-selected rule with its 2-D coordinates, cluster id, representative
+    flag and prediction."""
     lines = ["x\ty\tcluster\tis_representative\trule_prediction"]
-    for i in range(explanation.preselected.size):
-        pred = np.atleast_1d(explanation.rule_predictions[i])
-        pred_str = (
-            f"{float(pred[0]):.6g}" if pred.size == 1
-            else ";".join(f"{float(v):.6g}" for v in pred)
-        )
-        lines.append(
-            f"{explanation.projected[i, 0]:.6g}\t{explanation.projected[i, 1]:.6g}"
-            f"\t{int(explanation.clusters[i])}"
-            f"\t{int(explanation.representative[i])}"
-            f"\t{pred_str}"
-        )
+    for point in render_json(explanation)["projected_points"]:
+        pred = point["rule_prediction"]
+        pred = ";".join(f"{v:.6g}" for v in pred) if isinstance(pred, list) else f"{pred:.6g}"
+        lines.append(f"{point['x']:.6g}\t{point['y']:.6g}\t{point['cluster']}"
+                     f"\t{int(point['is_representative'])}\t{pred}")
     return "\n".join(lines) + "\n"

@@ -14,14 +14,14 @@ seeded by (seed, i).
 The trees of a forest grow in lockstep (``_grow_trees``) on index
 segments: the trees' samples lie end to end in one index array, and a node
 is a range of it.  Each step pops the next node of every tree's own
-depth-first stack (of the first trees whose nodes fit in ``_STEP_ROWS``
-rows), and children get ids (left, then right) in the order of a tree
-grown alone.  A step's node values, purity tests and partitions are
-array operations over all of its ranges; a split node's range is
-partitioned stably in place, so each child holds its rows in the order a
-tree grown alone gives them.  The step's
-splittable nodes draw their candidates together (``_draw_candidates``),
-each from its own tree's RNG stream, and that draw replicates numpy's
+depth-first stack (the largest of them, then the others in tree order while
+they fit in ``_STEP_ROWS`` rows), and children get ids (left, then right)
+in the order of a tree grown alone.  A step's node values, purity tests
+and partitions are array operations over all of its ranges; a split node's
+range is partitioned stably in place, so each child holds its rows in the
+order a tree grown alone gives them.  The step's splittable nodes draw
+their candidates together (``_draw_candidates``), each from its own tree's
+RNG stream, and that draw replicates numpy's
 ``Generator.choice(p, mtry, replace=False)`` word for word: Floyd's
 algorithm with Lemire-bounded draws, then the shuffle that ``choice``
 applies and the sort undoes (a tail shuffle instead for more than 10,000
@@ -869,11 +869,12 @@ def _grow_trees(
     """Grow the trees in lockstep on index segments: the samples lie end to
     end in one index array, a node is a range (start, stop) of it, and each
     tree keeps a depth-first stack of (node id, start, stop, depth) rows.
-    A step pops the top of every stack (of the first trees whose tops fit
-    in ``_STEP_ROWS`` rows, at least one) and treats those nodes together:
-    their values (``segment_sums`` of their targets over their counts, bit
-    for bit each node's ``mean(axis=0)``), a min/max purity test, the
-    candidate draw of the nodes that may split, one batched split search
+    A step pops the top of every stack (the largest top, then the other
+    trees' in tree order while they fit in ``_STEP_ROWS`` rows, so a large
+    root never waits for the trees before it) and treats those nodes
+    together: their values (``segment_sums`` of their targets over their
+    counts, bit for bit each node's ``mean(axis=0)``), a min/max purity
+    test, the candidate draw of the nodes that may split, one batched split search
     (``_impurity_splits``; per node ``best_split`` for survival, whose value
     and purity come from the node's event table), and a search of the
     remaining covariates where the draw found no split.  ``min_split``,
@@ -905,8 +906,11 @@ def _grow_trees(
 
     while (trees := height.nonzero()[0]).size:
         top = stacks[trees, height[trees] - 1]
-        fits = np.cumsum(top[:, 2] - top[:, 1]) <= _STEP_ROWS
-        fits[0] = True
+        rows = top[:, 2] - top[:, 1]
+        lead = rows.argmax()  # the largest top leads; the others follow in tree order
+        first, rows[lead] = rows[lead], 0
+        fits = first + np.cumsum(rows) <= _STEP_ROWS
+        fits[lead] = True
         trees = trees[fits]
         height[trees] -= 1
         node, start, stop, depth = top[fits].T

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -389,7 +390,8 @@ def test_explain_batch_equals_per_instance_tuning(task, monkeypatch):
         return kmeans_batch(cells, *args)
 
     monkeypatch.setattr(explain_mod, "kmeans_batch", counted)
-    monkeypatch.setattr(explain_mod, "_LOCKSTEP_INSTANCES", 12)
+    # 12 instances a lockstep: the widest arm (no pre-selection) keeps every tree
+    monkeypatch.setattr(explain_mod, "_LOCKSTEP_CELLS", 12 * forest.n_trees * forest.p)
     # the batched projection path: stacks of at least _BATCH_INSTANCES
     # matrices, by PCA and by the identity
     blocks, spectra = [], []
@@ -406,6 +408,21 @@ def test_explain_batch_equals_per_instance_tuning(task, monkeypatch):
     for (row, mode, arm, seed), got in zip(requests, explained):
         assert_same_explanation(
             got, tune_and_explain(forest, ds.covariates[row], grid, mode, arm, seed))
+
+
+def test_wide_table_lockstep_peak_memory_is_bounded():
+    # at p = 2,000 a lockstep of all 16 rows traces about 63 MiB; the cell
+    # budget tunes them 4 at a time, at about 16 MiB
+    ds = make_binary(60, 2000, seed=1)
+    forest = fit_forest(ds, ForestParams(n_trees=30, seed=1))
+    grid = TuningGrid(taus=(10, 20, 30))
+    tracemalloc.start()
+    try:
+        explain_batch(forest, ds.covariates[:16], grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 30 * 2**20
 
 
 @pytest.mark.parametrize("task", sorted(TASK_DATA) + ["one-covariate"])

@@ -1127,14 +1127,36 @@ def test_pool_checks_every_parameter_set_before_growing(monkeypatch):
                                   lambda: make_survival(90, 4, seed=10)],
                          ids=["binary", "multi-target", "survival"])
 def test_fit_does_not_depend_on_step_rows(make, monkeypatch):
-    # a step takes the first trees' nodes that fit in _STEP_ROWS rows, and
-    # at least one node; a node's result does not depend on its step
+    # a step takes the largest stack top, then the other trees' that fit in
+    # _STEP_ROWS rows; a node's result does not depend on its step
     ds = make()
     params = ForestParams(n_trees=6, seed=4)
     fitted = _fit_json(ds, params)
     for cap in (1, 100, 300):
         monkeypatch.setattr(forest_mod, "_STEP_ROWS", cap)
         assert _fit_json(ds, params) == fitted
+
+
+@pytest.mark.parametrize("make", [lambda: make_regression(300, 5, seed=1),
+                                  lambda: make_survival(300, 5, seed=2),
+                                  lambda: make_binary(300, 5, seed=3)],
+                         ids=["regression", "survival", "binary"])
+def test_roots_over_the_step_cap_grow_side_by_side(make, monkeypatch):
+    # every root is over the cap; with the largest stack top leading each
+    # step, the trees grow side by side, and a fit takes about as many steps
+    # as its largest tree has nodes (trees one after another take the sum)
+    records = []
+    assemble = forest_mod._assemble_trees
+
+    def counted(task, samples, oobs, n_nodes, visits, *rest):
+        records.append((len(visits), int(n_nodes.max())))
+        return assemble(task, samples, oobs, n_nodes, visits, *rest)
+
+    monkeypatch.setattr(forest_mod, "_STEP_ROWS", 200)
+    monkeypatch.setattr(forest_mod, "_assemble_trees", counted)
+    fit_forest(make(), ForestParams(n_trees=3, seed=5))
+    [(steps, largest)] = records
+    assert steps <= largest + 10
 
 
 # Covariate pairs whose midpoint does not lie in [a, b): adjacent doubles

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -155,6 +156,25 @@ def test_bench_pairs_records_whether_digests_match(tmp_path):
     assert entries[1]["command"] == shlex.join(
         ["python3", "tools/bench_pairs.py",
          *bench_pairs_args(tmp_path / "c", tmp_path / "d", out)])
+
+
+def test_bench_pairs_records_the_hosts_kernels(tmp_path):
+    # the BLAS kernel moves eigh's output and numpy's SIMD level moves tanh,
+    # exp and log, so an entry names both
+    from numpy._core import _multiarray_umath as umath
+
+    out = tmp_path / "bench.json"
+    done = bench_pairs(stub_checkout(tmp_path / "a"), stub_checkout(tmp_path / "b"), out)
+    assert done.returncode == 0, done.stderr
+    host = json.loads(out.read_text())["runs"][0]["host"]
+    assert host["numpy_simd"] == [target for target in umath.__cpu_dispatch__
+                                  if umath.__cpu_features__.get(target)]
+    bundled = list((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob(
+        "libscipy_openblas*"))
+    if bundled:
+        assert isinstance(host["blas_kernel"], str) and host["blas_kernel"]
+    else:
+        assert host["blas_kernel"] is None
 
 
 TIGHT = tuple(100.0 + k for k in range(10))  # quartile spread 4.5 ms

@@ -10,7 +10,8 @@ end-to-end metric the file records both sides' runs, medians and
 quartiles, the pairs in which the change is better, and a verdict against
 the metric's bound in this repository's ``BENCHMARK.json`` (see
 ``verdict``); it also records the tool's own command line, each run's
-digest line and environment line, and whether both sides' digests match.
+digest line and environment line, whether both sides' digests match, and
+the host's CPU dispatch (``host``), which both sides share.
 An existing ``--out`` file gains the workload as one more entry of
 ``runs``.  A run that exits non-zero or ends without a result line stops
 the tool with exit code 1, naming the side and the workload.
@@ -18,6 +19,7 @@ the tool with exit code 1, naming the side and the workload.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import shlex
 import statistics
@@ -53,6 +55,25 @@ def run_once(checkout: Path, workload: str, seconds: float, seed: int,
         }
     except (IndexError, ValueError, KeyError, TypeError, StopIteration) as exc:
         raise RunFailed(f"perfbench/run.py printed no full result ({exc!r})") from None
+
+
+def host() -> dict:
+    """The kernels this interpreter dispatches to, and so both sides' runs:
+    the core name of numpy's bundled OpenBLAS (None without it) and numpy's
+    enabled SIMD dispatch targets.  The BLAS kernel moves ``eigh``'s output,
+    and the SIMD level moves ``np.tanh``, ``np.exp`` and ``np.log``."""
+    import numpy as np
+    from numpy._core import _multiarray_umath as umath
+
+    blas = None
+    for lib in sorted((Path(np.__file__).resolve().parent.parent / "numpy.libs").glob(
+            "libscipy_openblas*")):
+        corename = getattr(ctypes.CDLL(str(lib)), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            blas = corename().decode()
+    simd = [target for target in umath.__cpu_dispatch__ if umath.__cpu_features__.get(target)]
+    return {"blas_kernel": blas, "numpy_simd": simd}
 
 
 def summary(values: list[float]) -> dict:
@@ -127,6 +148,7 @@ def main(argv=None) -> int:
     entry = {"command": shlex.join(["python3", "tools/bench_pairs.py", *argv]),
              "workload": args.workload, "seed": args.seed, "seconds": args.seconds,
              "pairs": args.pairs, "first_side": "parent on even pairs, change on odd pairs",
+             "host": host(),
              "correct": all(r["correct"] and not r["failed"] for side in runs.values() for r in side),
              "metrics": {}}
     for metric in metrics:
